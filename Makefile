@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json lint-sarif lint-self lint-alloc update-locks serve-smoke resume-smoke check bench bench-stages bench-check experiments results corpus cover fuzz clean
+.PHONY: all build test vet lint lint-json lint-sarif update-locks serve-smoke resume-smoke check bench bench-stages bench-check experiments results corpus cover fuzz clean
 
 all: build check
 
@@ -12,52 +12,31 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: determinism, context discipline,
-# error wrapping, float equality, stage purity, deprecated-API calls,
-# the CFG-based concurrency checks, the dataflow checks (rngflow,
+# Project-specific static analysis over every package of the module
+# (the analysis machinery, api/v1 and the daemon stack included):
+# determinism, context discipline, error wrapping, float equality,
+# stage purity, the CFG-based concurrency checks (goroleak,
+# lockdiscipline, chancontract), the dataflow checks (rngflow,
 # probflow, aliasflow), the interprocedural call-graph checks
-# (ctxflow, lockflow, httpresp), the schema-lock drift checks
-# (wiredrift, codecdrift) and the escape/borrow checks (borrowflow,
-# poolsafe, hotalloc — see internal/analysis). Exits non-zero on any
-# finding. The committed lint/hotalloc-baseline.json suppresses the
-# known hot-path allocation sites (the perf work's worklist), so only
-# *new* sites gate; -baseline-strict keeps it honest — fixing a site
-# without re-recording the baseline fails the run. LINTCACHE keys
-# cached per-package results by content hash; set LINTCACHE= to force
-# a full re-analysis.
+# (ctxflow, httpresp) and the schema-lock drift checks (wiredrift,
+# codecdrift) — see internal/analysis. Exits non-zero on any finding;
+# only a //tableseglint:ignore directive with a reason suppresses one.
+# LINTCACHE keys cached per-package results by content hash; set
+# LINTCACHE= to force a full re-analysis.
 LINTCACHE ?= .tableseglint-cache
-LINTBASELINE = -baseline lint/hotalloc-baseline.json -baseline-strict
 
 lint: vet
-	$(GO) run ./cmd/tableseglint -cache '$(LINTCACHE)' $(LINTBASELINE)
+	$(GO) run ./cmd/tableseglint -cache '$(LINTCACHE)'
 
 # Machine-readable variants of the same gate: a flat JSON array for
 # scripting, and a SARIF 2.1.0 log (written to tableseglint.sarif,
 # what the CI lint job uploads as an artifact). Both exit 1 on
 # findings, like lint.
 lint-json: vet
-	$(GO) run ./cmd/tableseglint -json -cache '$(LINTCACHE)' $(LINTBASELINE)
+	$(GO) run ./cmd/tableseglint -json -cache '$(LINTCACHE)'
 
 lint-sarif: vet
-	$(GO) run ./cmd/tableseglint -sarif -cache '$(LINTCACHE)' $(LINTBASELINE) > tableseglint.sarif
-
-# Advisory allocation-site inventory for the declared hot paths
-# (lint/hotpaths.conf): runs hotalloc alone, unfiltered by the
-# baseline, and writes the JSON artifact CI uploads. Always exits 0 —
-# the inventory is the burn-down chart, the lint gate is above.
-lint-alloc:
-	$(GO) run ./cmd/tableseglint -alloc-inventory > tableseglint-alloc.json
-
-# Self-lint: run the full suite (all 20 analyzers) over the analysis
-# machinery itself — so the linter is held to its own invariants — and
-# over the daemon stack (api/v1, internal/server and its client),
-# which was written to pass every concurrency analyzer without
-# exemptions. Including api/v1 also makes wiredrift gate the committed
-# wire lock here. -baseline-strict keeps the (currently empty)
-# baseline honest: a stale suppression fails the run. CI's selflint
-# job runs this and uploads tableseglint-self.sarif.
-lint-self:
-	$(GO) run ./cmd/tableseglint -cache '$(LINTCACHE)' -baseline lint/selflint-baseline.json -baseline-strict internal/analysis internal/analysis/schema internal/analysis/callgraph internal/analysis/cfg internal/analysis/dataflow internal/analysis/escape cmd/tableseglint api/v1 internal/server internal/server/client
+	$(GO) run ./cmd/tableseglint -sarif -cache '$(LINTCACHE)' > tableseglint.sarif
 
 # Regenerate the two committed schema locks (lint/schema-apiv1.lock,
 # lint/schema-artifacts.lock) from the live tree. Deterministic: a
@@ -139,4 +118,4 @@ fuzz:
 
 clean:
 	rm -rf corpus .tableseglint-cache
-	rm -f tableseglint.sarif tableseglint-alloc.json
+	rm -f tableseglint.sarif

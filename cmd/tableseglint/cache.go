@@ -29,10 +29,9 @@ import (
 // analyzers' semantics change; bump it alongside analyzer releases.
 // v2: schema-lock bytes joined the key salt (wiredrift/codecdrift
 // findings depend on the committed locks, not just the sources).
-// v3: the escape/borrow layer landed (borrowflow/poolsafe/hotalloc)
-// and lint/hotpaths.conf joined the key salt the same way the schema
-// locks did — editing the hot-path declaration re-keys every package.
-const cacheSchema = "tableseglint-cache-v3"
+// v3: a hot-path declaration file joined the key salt.
+// v4: the suite shrank to fifteen analyzers and that file left the salt.
+const cacheSchema = "tableseglint-cache-v4"
 
 // cacheKeyer computes content keys for package directories.
 type cacheKeyer struct {

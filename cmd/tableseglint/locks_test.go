@@ -178,7 +178,6 @@ func TestUpdateLocksExcludesOtherModes(t *testing.T) {
 	for _, args := range [][]string{
 		{"-update-locks", "-json"},
 		{"-update-locks", "-sarif"},
-		{"-update-locks", "-baseline", "x.json"},
 		{"-update-locks", "-analyzers", "wiredrift"},
 		{"-update-locks", "api/v1"},
 	} {

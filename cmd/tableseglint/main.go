@@ -3,17 +3,14 @@
 // violations of the determinism, context-discipline, error-wrapping,
 // float-equality, stage-purity, concurrency (goroutine-exit, lock and
 // channel-ownership), dataflow (RNG-provenance, probability,
-// aliasing), interprocedural (context-flow, lock-flow,
-// handler-response), schema-lock (wire/codec drift) and escape/borrow
-// (borrowed-view, pool-checkout, hot-path-allocation) invariants with
-// file:line positions.
+// aliasing), interprocedural (context-flow, handler-response) and
+// schema-lock (wire/codec drift) invariants with file:line positions.
 //
 // Usage:
 //
-//	tableseglint [-root dir] [-json | -sarif] [-analyzers list] [-baseline file [-baseline-strict]] [-cache dir] [-jobs n] [-timing] [packages...]
+//	tableseglint [-root dir] [-json | -sarif] [-analyzers list] [-cache dir] [-jobs n] [-timing] [packages...]
 //	tableseglint -list
 //	tableseglint [-root dir] -update-locks
-//	tableseglint [-root dir] -alloc-inventory [packages...]
 //
 // With no package arguments every package under the module root is
 // checked (testdata, corpus and hidden directories are skipped).
@@ -28,20 +25,10 @@
 // breaking change — a dropped/retyped/retagged wire field or a codec
 // shape change without a version bump aborts the rewrite with exit 1.
 //
-// The hotalloc analyzer only runs inside the packages the committed
-// lint/hotpaths.conf declares hot (no file, no findings).
-// -alloc-inventory runs hotalloc alone and emits a JSON inventory of
-// every allocation site by kind; it always exits 0 — the inventory is
-// the advisory artifact the perf work burns down, while the ordinary
-// lint run gates only findings not yet in the committed baseline.
-//
 // -list prints every analyzer's name and one-line doc and exits.
 // -analyzers runs only the named subset (comma-separated; unknown
-// names are a usage error). -baseline replays a previous `-json` run
-// and suppresses every finding already recorded there, so CI fails
-// only on findings introduced since the baseline was cut;
-// -baseline-strict additionally fails the run when the baseline holds
-// stale entries that matched nothing.
+// names are a usage error). A finding is suppressed only by a
+// `//tableseglint:ignore <analyzer> <reason>` directive at its site.
 //
 // The interprocedural analyzers consume whole-module call-graph
 // summaries, so the driver loads packages once, builds the fact base,
@@ -57,9 +44,8 @@
 // Whatever the format, diagnostics are ordered by file, line and
 // column across all packages, so output is diff-stable.
 //
-// Exit codes: 0 when the tree is clean, 1 when findings survive (or
-// -baseline-strict finds stale suppressions), 2 on usage or load
-// errors.
+// Exit codes: 0 when the tree is clean, 1 when findings survive, 2 on
+// usage or load errors.
 package main
 
 import (
@@ -90,14 +76,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	asJSON := flags.Bool("json", false, "emit findings as a JSON array")
 	asSARIF := flags.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
 	analyzerList := flags.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	baselinePath := flags.String("baseline", "", "JSON file from a previous -json run; findings recorded there are suppressed")
-	baselineStrict := flags.Bool("baseline-strict", false, "with -baseline: fail when the baseline holds stale entries that matched nothing")
 	cacheDir := flags.String("cache", "", "directory for the per-package diagnostic cache (empty: cache disabled)")
 	jobs := flags.Int("jobs", runtime.NumCPU(), "maximum packages analyzed concurrently")
 	timing := flags.Bool("timing", false, "print per-analyzer wall time per package to stderr")
 	list := flags.Bool("list", false, "print analyzer names and docs, then exit")
 	updateLocks := flags.Bool("update-locks", false, "regenerate the schema lock files from the live tree, then exit")
-	allocInventory := flags.Bool("alloc-inventory", false, "emit the hotalloc allocation-site inventory as JSON and exit 0 (advisory)")
 	if err := flags.Parse(args); err != nil {
 		return 2
 	}
@@ -105,31 +88,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "tableseglint: -json and -sarif are mutually exclusive")
 		return 2
 	}
-	if *baselineStrict && *baselinePath == "" {
-		fmt.Fprintln(stderr, "tableseglint: -baseline-strict requires -baseline")
-		return 2
-	}
 	if *updateLocks {
-		if *asJSON || *asSARIF || *baselinePath != "" || *analyzerList != "" || len(flags.Args()) > 0 {
+		if *asJSON || *asSARIF || *analyzerList != "" || len(flags.Args()) > 0 {
 			fmt.Fprintln(stderr, "tableseglint: -update-locks takes no other modes or package arguments")
 			return 2
 		}
 		return runUpdateLocks(*root, stdout, stderr)
-	}
-	if *allocInventory {
-		if *asJSON || *asSARIF || *baselinePath != "" || *analyzerList != "" || *list {
-			fmt.Fprintln(stderr, "tableseglint: -alloc-inventory takes no other output modes or analyzer selection")
-			return 2
-		}
-		return runAllocInventory(runConfig{
-			root:     *root,
-			pkgDirs:  flags.Args(),
-			suite:    analysis.Suite(),
-			cacheDir: *cacheDir,
-			jobs:     *jobs,
-			timing:   *timing,
-			stderr:   stderr,
-		}, stdout, stderr)
 	}
 
 	suite := analysis.Suite()
@@ -161,28 +125,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "tableseglint:", err)
 		return 2
 	}
-	staleBaseline := false
-	if *baselinePath != "" {
-		baseline, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "tableseglint:", err)
-			return 2
-		}
-		var suppressed int
-		var stale []string
-		diags, suppressed, stale = baseline.FilterStrict(diags)
-		if suppressed > 0 {
-			fmt.Fprintf(stderr, "tableseglint: %d baseline finding(s) suppressed\n", suppressed)
-		}
-		if *baselineStrict && len(stale) > 0 {
-			staleBaseline = true
-			fmt.Fprintf(stderr, "tableseglint: %d stale baseline entr(ies) matched nothing; re-record the baseline:\n", len(stale))
-			for _, s := range stale {
-				fmt.Fprintf(stderr, "  stale: %s\n", s)
-			}
-		}
-	}
-
 	switch {
 	case *asJSON:
 		out, err := analysis.EncodeJSON(diags)
@@ -205,9 +147,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if n := len(diags); n > 0 {
 		fmt.Fprintf(stderr, "tableseglint: %d finding(s)\n", n)
-		return 1
-	}
-	if staleBaseline {
 		return 1
 	}
 	return 0
@@ -278,12 +217,6 @@ func run(rc runConfig) ([]analysis.Diagnostic, error) {
 	if err := analysis.LoadSchemaLocks(&cfg, rc.root); err != nil {
 		return nil, err
 	}
-	// Same for the hot-path declaration: hotalloc only runs in the
-	// packages lint/hotpaths.conf opts in, so its bytes are analyzer
-	// input (and cache-key salt) exactly like the locks.
-	if err := analysis.LoadHotPaths(&cfg, rc.root); err != nil {
-		return nil, err
-	}
 	pkgDirs := rc.pkgDirs
 	if len(pkgDirs) == 0 {
 		pkgDirs, err = packageDirs(rc.root)
@@ -298,7 +231,7 @@ func run(rc runConfig) ([]analysis.Diagnostic, error) {
 	// without loading anything.
 	var keys map[string]string
 	if rc.cacheDir != "" {
-		keyer := newCacheKeyer(rc.root, modPath, rc.suite, []string{cfg.WireLockPath, cfg.CodecLockPath, cfg.HotPathsPath})
+		keyer := newCacheKeyer(rc.root, modPath, rc.suite, []string{cfg.WireLockPath, cfg.CodecLockPath})
 		keys = make(map[string]string, len(pkgDirs))
 		for _, dir := range pkgDirs {
 			key, err := keyer.key(dir)

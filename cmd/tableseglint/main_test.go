@@ -152,14 +152,14 @@ func TestSARIFOutput(t *testing.T) {
 		t.Fatalf("not a single-run SARIF 2.1.0 log: version=%q runs=%d", log.Version, len(log.Runs))
 	}
 	run := log.Runs[0]
-	if run.Tool.Driver.Name != "tableseglint" || len(run.Tool.Driver.Rules) != 20 {
-		t.Errorf("driver = %q with %d rules, want tableseglint with 20", run.Tool.Driver.Name, len(run.Tool.Driver.Rules))
+	if run.Tool.Driver.Name != "tableseglint" || len(run.Tool.Driver.Rules) != 15 {
+		t.Errorf("driver = %q with %d rules, want tableseglint with 15", run.Tool.Driver.Name, len(run.Tool.Driver.Rules))
 	}
 	ruleIDs := map[string]bool{}
 	for _, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
 	}
-	for _, want := range []string{"borrowflow", "poolsafe", "hotalloc"} {
+	for _, want := range []string{"ctxflow", "httpresp", "wiredrift", "codecdrift"} {
 		if !ruleIDs[want] {
 			t.Errorf("SARIF rules missing %s", want)
 		}
@@ -188,10 +188,10 @@ func TestListPrintsAllAnalyzers(t *testing.T) {
 		t.Fatalf("exit = %d, want 0 (stderr: %s)", code, stderr)
 	}
 	lines := strings.Split(strings.TrimSpace(stdout), "\n")
-	if len(lines) != 20 {
-		t.Fatalf("-list printed %d lines, want 20:\n%s", len(lines), stdout)
+	if len(lines) != 15 {
+		t.Fatalf("-list printed %d lines, want 15:\n%s", len(lines), stdout)
 	}
-	for _, name := range []string{"determinism", "rngflow", "probflow", "aliasflow", "wiredrift", "codecdrift", "borrowflow", "poolsafe", "hotalloc"} {
+	for _, name := range []string{"determinism", "lockdiscipline", "rngflow", "probflow", "aliasflow", "ctxflow", "httpresp", "wiredrift", "codecdrift"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing analyzer %s", name)
 		}
@@ -219,57 +219,6 @@ func TestAnalyzersUnknownIsUsageError(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "unknown analyzer") {
 		t.Errorf("stderr missing unknown-analyzer message: %s", stderr)
-	}
-}
-
-// TestBaselineSuppression records the csp fixture's findings as a
-// baseline, replays the run against it (everything suppressed, exit
-// 0), then checks a truncated baseline lets the remainder through.
-func TestBaselineSuppression(t *testing.T) {
-	_, recorded, _ := runCLI(t, "-root", fixtureRoot, "-json", "internal/csp")
-	dir := t.TempDir()
-	full := filepath.Join(dir, "baseline.json")
-	if err := os.WriteFile(full, []byte(recorded), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	code, stdout, stderr := runCLI(t, "-root", fixtureRoot, "-baseline", full, "internal/csp")
-	if code != 0 {
-		t.Fatalf("fully baselined run: exit = %d, want 0 (stdout: %s)", code, stdout)
-	}
-	if !strings.Contains(stderr, "baseline finding(s) suppressed") {
-		t.Errorf("stderr missing suppression note: %s", stderr)
-	}
-
-	// Drop one entry: exactly one finding must survive.
-	var entries []json.RawMessage
-	if err := json.Unmarshal([]byte(recorded), &entries); err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) < 2 {
-		t.Fatalf("csp fixture recorded only %d finding(s)", len(entries))
-	}
-	truncated, err := json.Marshal(entries[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	partial := filepath.Join(dir, "partial.json")
-	if err := os.WriteFile(partial, truncated, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, _ = runCLI(t, "-root", fixtureRoot, "-baseline", partial, "internal/csp")
-	if code != 1 {
-		t.Fatalf("partially baselined run: exit = %d, want 1", code)
-	}
-	if got := len(strings.Split(strings.TrimSpace(stdout), "\n")); got != 1 {
-		t.Errorf("partially baselined run printed %d finding(s), want 1:\n%s", got, stdout)
-	}
-}
-
-func TestBaselineUnreadableIsUsageError(t *testing.T) {
-	code, _, _ := runCLI(t, "-root", fixtureRoot, "-baseline", filepath.Join(t.TempDir(), "missing.json"), "internal/csp")
-	if code != 2 {
-		t.Errorf("missing baseline file: exit = %d, want 2", code)
 	}
 }
 
@@ -327,33 +276,43 @@ func copyFixtureTree(t *testing.T) string {
 	return root
 }
 
+// cacheEntriesAround fills a cache over a copy of the fixture module,
+// appends suffix to the module-relative file rel, lints again and
+// returns the number of cache entries before and after the edit.
+func cacheEntriesAround(t *testing.T, rel, suffix string) (before, after int) {
+	t.Helper()
+	root := copyFixtureTree(t)
+	cache := t.TempDir()
+	count := func() int {
+		if code, _, stderr := runCLI(t, "-root", root, "-json", "-cache", cache); code == 2 {
+			t.Fatalf("lint run failed: %s", stderr)
+		}
+		entries, err := os.ReadDir(cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(entries)
+	}
+	before = count()
+	path := filepath.Join(root, filepath.FromSlash(rel))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, suffix...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return before, count()
+}
+
 // TestCacheInvalidatedByDependencyEdit checks the Merkle keying: an
 // edit to a package re-keys its importers, not just itself.
 func TestCacheInvalidatedByDependencyEdit(t *testing.T) {
-	root := copyFixtureTree(t)
-	cache := t.TempDir()
-	runCLI(t, "-root", root, "-json", "-cache", cache)
-	before, err := os.ReadDir(cache)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Append a comment to a leaf package: its key and every importer's
 	// key must change, producing new cache entries.
-	target := filepath.Join(root, "internal", "core", "fixture.go")
-	data, err := os.ReadFile(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(target, append(data, []byte("\n// touched\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	runCLI(t, "-root", root, "-json", "-cache", cache)
-	after, err := os.ReadDir(cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) <= len(before) {
-		t.Errorf("dependency edit added no cache entries: before=%d after=%d", len(before), len(after))
+	before, after := cacheEntriesAround(t, "internal/core/fixture.go", "\n// touched\n")
+	if after <= before {
+		t.Errorf("dependency edit added no cache entries: before=%d after=%d", before, after)
 	}
 }
 
@@ -371,146 +330,12 @@ func TestTimingOutput(t *testing.T) {
 	}
 }
 
-// TestBaselineStrict: a fully matching baseline passes, a stale entry
-// fails the run (exit 1) with the entry listed, and the flag without
-// -baseline is a usage error.
-func TestBaselineStrict(t *testing.T) {
-	_, recorded, _ := runCLI(t, "-root", fixtureRoot, "-json", "internal/csp")
-	dir := t.TempDir()
-
-	exact := filepath.Join(dir, "exact.json")
-	if err := os.WriteFile(exact, []byte(recorded), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr := runCLI(t, "-root", fixtureRoot, "-baseline", exact, "-baseline-strict", "internal/csp")
-	if code != 0 {
-		t.Fatalf("exact baseline with -baseline-strict: exit = %d, want 0 (stderr: %s)", code, stderr)
-	}
-
-	var entries []map[string]any
-	if err := json.Unmarshal([]byte(recorded), &entries); err != nil {
-		t.Fatal(err)
-	}
-	entries = append(entries, map[string]any{
-		"analyzer": "floateq",
-		"file":     "internal/csp/fixture.go",
-		"line":     1,
-		"column":   1,
-		"message":  "a finding that no longer occurs",
-	})
-	staleData, err := json.Marshal(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale := filepath.Join(dir, "stale.json")
-	if err := os.WriteFile(stale, staleData, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr = runCLI(t, "-root", fixtureRoot, "-baseline", stale, "-baseline-strict", "internal/csp")
-	if code != 1 {
-		t.Fatalf("stale baseline with -baseline-strict: exit = %d, want 1 (stderr: %s)", code, stderr)
-	}
-	if !strings.Contains(stderr, "stale:") || !strings.Contains(stderr, "no longer occurs") {
-		t.Errorf("stderr does not list the stale entry:\n%s", stderr)
-	}
-	// Without -baseline-strict the stale entry is tolerated.
-	code, _, _ = runCLI(t, "-root", fixtureRoot, "-baseline", stale, "internal/csp")
-	if code != 0 {
-		t.Fatalf("stale baseline without strict: exit = %d, want 0", code)
-	}
-
-	if code, _, _ := runCLI(t, "-baseline-strict"); code != 2 {
-		t.Errorf("-baseline-strict without -baseline: exit = %d, want 2", code)
-	}
-}
-
-// TestAllocInventory pins the advisory artifact: -alloc-inventory over
-// the fixture module exits 0 despite findings, the JSON carries every
-// allocation kind the token fixture exercises, byKind totals agree,
-// and two runs are byte-identical.
-func TestAllocInventory(t *testing.T) {
-	code, stdout, stderr := runCLI(t, "-root", fixtureRoot, "-alloc-inventory")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 (advisory) (stderr: %s)", code, stderr)
-	}
-	var inv struct {
-		Schema string         `json:"schema"`
-		Total  int            `json:"total"`
-		ByKind map[string]int `json:"byKind"`
-		Sites  []struct {
-			File string `json:"file"`
-			Line int    `json:"line"`
-			Kind string `json:"kind"`
-		} `json:"sites"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &inv); err != nil {
-		t.Fatalf("-alloc-inventory output is not valid JSON: %v\n%s", err, stdout)
-	}
-	if inv.Schema != "tableseglint-alloc-inventory-v1" {
-		t.Errorf("schema = %q", inv.Schema)
-	}
-	if inv.Total != len(inv.Sites) {
-		t.Errorf("total = %d but %d sites listed", inv.Total, len(inv.Sites))
-	}
-	sum := 0
-	for _, n := range inv.ByKind {
-		sum += n
-	}
-	if sum != inv.Total {
-		t.Errorf("byKind sums to %d, total is %d", sum, inv.Total)
-	}
-	for _, kind := range []string{"string-conv", "bytes-conv", "sprintf", "append-loop", "iface-box"} {
-		if inv.ByKind[kind] == 0 {
-			t.Errorf("inventory missing kind %q (byKind: %v)", kind, inv.ByKind)
-		}
-	}
-	for _, s := range inv.Sites {
-		if !strings.Contains(s.File, "internal/token") {
-			t.Errorf("site outside the declared hot path: %+v", s)
-		}
-	}
-	_, again, _ := runCLI(t, "-root", fixtureRoot, "-alloc-inventory")
-	if stdout != again {
-		t.Error("two -alloc-inventory runs differ")
-	}
-}
-
-// TestAllocInventoryModeConflicts: the inventory is its own output
-// mode and cannot be combined with the others.
-func TestAllocInventoryModeConflicts(t *testing.T) {
-	for _, extra := range [][]string{{"-json"}, {"-sarif"}, {"-analyzers", "hotalloc"}} {
-		args := append([]string{"-root", fixtureRoot, "-alloc-inventory"}, extra...)
-		if code, _, _ := runCLI(t, args...); code != 2 {
-			t.Errorf("-alloc-inventory with %v: exit = %d, want 2", extra, code)
-		}
-	}
-}
-
-// TestCacheInvalidatedByHotPathsEdit checks the v3 key salt: editing
-// lint/hotpaths.conf re-keys every package, exactly like a schema-lock
-// edit does.
-func TestCacheInvalidatedByHotPathsEdit(t *testing.T) {
-	root := copyFixtureTree(t)
-	cache := t.TempDir()
-	runCLI(t, "-root", root, "-json", "-cache", cache)
-	before, err := os.ReadDir(cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conf := filepath.Join(root, "lint", "hotpaths.conf")
-	data, err := os.ReadFile(conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(conf, append(data, []byte("# touched\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	runCLI(t, "-root", root, "-json", "-cache", cache)
-	after, err := os.ReadDir(cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) <= len(before) {
-		t.Errorf("hotpaths.conf edit added no cache entries: before=%d after=%d", len(before), len(after))
+// TestCacheInvalidatedBySchemaLockEdit checks the key salt: the schema
+// locks are analyzer inputs, so editing one — here appending blank
+// lines, which still parse — re-keys every package.
+func TestCacheInvalidatedBySchemaLockEdit(t *testing.T) {
+	before, after := cacheEntriesAround(t, "lint/schema-apiv1.lock", "\n\n")
+	if after != 2*before {
+		t.Errorf("lock edit did not re-key every package: before=%d after=%d entries, want %d", before, after, 2*before)
 	}
 }

@@ -16,9 +16,6 @@ var (
 	// ErrTooFewListPages: the input carried no list pages (at least one
 	// is required; two or more enable cross-page template induction).
 	ErrTooFewListPages = core.ErrTooFewListPages
-	// ErrNoListPages is a deprecated alias for ErrTooFewListPages kept
-	// for callers of the original API.
-	ErrNoListPages = core.ErrNoListPages
 	// ErrNoDetailPages: the input carried no detail pages.
 	ErrNoDetailPages = core.ErrNoDetailPages
 	// ErrBadTarget: Input.Target is outside the list-page slice.

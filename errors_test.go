@@ -14,7 +14,6 @@ import (
 func TestSentinelRoundTrips(t *testing.T) {
 	sentinels := map[string]error{
 		"ErrTooFewListPages":  ErrTooFewListPages,
-		"ErrNoListPages":      ErrNoListPages,
 		"ErrNoDetailPages":    ErrNoDetailPages,
 		"ErrBadTarget":        ErrBadTarget,
 		"ErrNoTableSlot":      ErrNoTableSlot,
@@ -27,10 +26,6 @@ func TestSentinelRoundTrips(t *testing.T) {
 		if !errors.Is(wrapped, sentinel) {
 			t.Errorf("%s does not round-trip through %%w", name)
 		}
-	}
-	// The deprecated alias must match the sentinel it aliases.
-	if !errors.Is(fmt.Errorf("x: %w", ErrNoListPages), ErrTooFewListPages) {
-		t.Error("ErrNoListPages is not an alias of ErrTooFewListPages")
 	}
 }
 

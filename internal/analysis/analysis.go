@@ -5,10 +5,10 @@
 // randomness in solver paths, no map-iteration order leaking into
 // results, contexts threaded rather than minted, errors wrapped so
 // sentinel classification survives, goroutines and locks that provably
-// wind down) that ordinary Go tooling does not enforce. The twenty
+// wind down) that ordinary Go tooling does not enforce. The fifteen
 // analyzers in this package check them mechanically over the parsed
 // and type-checked source of every package, using only the standard
-// library (go/parser, go/ast, go/types). Seven are expression-level;
+// library (go/parser, go/ast, go/types). Five are expression-level;
 // the three concurrency analyzers (goroleak, lockdiscipline,
 // chancontract) run over the intra-procedural control-flow graphs of
 // internal/analysis/cfg, so "on every path" facts — a channel closed,
@@ -17,21 +17,17 @@
 // worklist solver of internal/analysis/dataflow over those same
 // graphs, so "where did this value come from?" facts — RNG
 // provenance, probability taint, input aliasing — are answered by
-// reaching definitions and taint propagation rather than syntax; and
-// the three interprocedural analyzers (ctxflow, lockflow, httpresp)
+// reaching definitions and taint propagation rather than syntax; the
+// two interprocedural analyzers (ctxflow, httpresp), and
+// lockdiscipline for the calls it finds inside a critical section,
 // consume the whole-module call graph and per-function summaries of
 // internal/analysis/callgraph, so a context dropped one call deep, a
 // lock held across a helper that blocks, or a handler that forgets to
 // respond on an error path are caught across function boundaries;
-// the two schema-lock analyzers (wiredrift, codecdrift) compare
+// and the two schema-lock analyzers (wiredrift, codecdrift) compare
 // structural type fingerprints from internal/analysis/schema against
 // committed lock files, so wire-surface and codec-version drift is
-// caught before it corrupts caches or clients; and the two
-// escape/borrow analyzers (borrowflow, poolsafe) run the borrowed-
-// provenance tracker and per-function escape summaries of
-// internal/analysis/escape, so a zero-copy view retained past its
-// buffer's lifetime or a pool checkout that misses its Put is proved
-// impossible before the hot-path refactor that depends on it lands.
+// caught before it corrupts caches or clients.
 //
 // The analyzers are:
 //
@@ -51,19 +47,18 @@
 //   - stagepurity: enforces the stage-graph layering — stage packages
 //     may not import algorithm, solver or orchestration packages, and
 //     solver packages may not import orchestration packages.
-//   - deprecated: forbids calls to retired in-repo APIs (resolved
-//     through the type checker, so aliases are caught and same-named
-//     methods on other types are not), pointing each surviving call
-//     site at the designated replacement.
 //   - goroleak: every goroutine launched in an exported function must
 //     have a provable exit path — it ranges over (or receives from) a
 //     channel closed on all CFG paths, receives from ctx.Done(), does
 //     no blocking work at all, or only joins other goroutines.
 //   - lockdiscipline: a sync.Mutex/RWMutex acquired in a function must
 //     be released on every path out of it (defer unlock or per-path
-//     unlock) and may not be held across a may-block call (channel
-//     send/receive, blocking select, wg.Wait, once.Do, another lock,
-//     solver invocation).
+//     unlock) and may not be held across a may-block operation — one
+//     in the critical section itself (channel send/receive, blocking
+//     select, wg.Wait, once.Do, another lock, solver invocation) or a
+//     call to a module-local helper whose call-graph summary may
+//     block, so hiding the operation one call deep does not silence
+//     it.
 //   - chancontract: a channel returned by an exported function must be
 //     closed by its producer, exactly once, only after joining any
 //     other senders; no function closes a channel it received as a
@@ -89,10 +84,6 @@
 //     a context derived from it into every call whose summary says
 //     the callee may park indefinitely (and may not time.Sleep, which
 //     no context interrupts).
-//   - lockflow: interprocedural lock discipline — a mutex may not be
-//     held across a call to a module-local helper whose summary is
-//     may-block, closing the helper-function blind spot of
-//     lockdiscipline's intra-procedural check.
 //   - httpresp: the handler contract — a handler-shaped function must
 //     respond on every path (each error branch writes or delegates to
 //     something that provably writes), sets the status at most once
@@ -107,27 +98,12 @@
 //     change while the constant still holds the locked value is a
 //     finding (stale cached artifacts would decode wrong), and a
 //     version bump clears it.
-//   - borrowflow: in the declared borrow packages, a []byte parameter
-//     is a borrowed view of a source buffer and may not be stored in a
-//     field, global, map, channel send or captured goroutine anywhere,
-//     nor returned from an exported stage-shaped function — stage
-//     artifacts copy out. Handing a view to a module-local callee is
-//     checked against the callee's escape summary, so retention any
-//     number of calls deep is caught at the hand-off.
-//   - poolsafe: a value checked out of a sync.Pool/arena Get must
-//     reach the matching Put on every CFG path, must not escape while
-//     checked out, and must not be used after an explicit Put.
-//   - hotalloc: inside the packages committed to lint/hotpaths.conf,
-//     avoidable allocation sites — string([]byte)/[]byte(string)
-//     conversions, fmt.Sprintf, append-in-loop without a capacity
-//     hint, float64 interface boxing — are flagged with a parseable
-//     allocation kind, feeding the -alloc-inventory artifact and the
-//     perf burn-down baseline.
 //
-// A diagnostic can be suppressed by a "//tableseglint:ignore <name>
-// <reason>" comment on the same line or the line above. The reason is
-// mandatory — a directive without one does not suppress anything —
-// and the directive is expected to be rare (epsilon-comparison
+// A diagnostic can be suppressed only by a "//tableseglint:ignore
+// <name> <reason>" comment on the same line or the line above; there
+// is no baseline file. The reason is mandatory — a directive without
+// one does not suppress anything — <name> must be an analyzer of the
+// suite, and the directive is expected to be rare (epsilon-comparison
 // helpers and deliberately caller-managed channels are the intended
 // uses).
 package analysis
@@ -243,10 +219,6 @@ type Config struct {
 	// context.Context to reach every call whose callee may park
 	// indefinitely — the serving path and the solver pipeline.
 	CtxFlowPkgs []string
-	// DeprecatedAPIs are retired functions and methods whose surviving
-	// call sites the deprecated analyzer flags with a pointer at the
-	// replacement.
-	DeprecatedAPIs []DeprecatedAPI
 	// WirePkg is the versioned wire package whose exported types must
 	// stay append-only within their version (wiredrift).
 	WirePkg string
@@ -261,17 +233,6 @@ type Config struct {
 	// disables codecdrift. CodecLockPath names the file in diagnostics.
 	CodecLock     *schema.Lock
 	CodecLockPath string
-	// BorrowPkgs are the packages where borrowflow treats every []byte
-	// parameter as a borrowed view of a source buffer and forbids it
-	// from outliving the call — the packages the zero-copy hot-path
-	// refactor will rewrite.
-	BorrowPkgs []string
-	// HotPkgs are the packages hotalloc inventories for avoidable
-	// allocation sites, loaded from the committed hot-paths file by
-	// LoadHotPaths; empty leaves hotalloc dormant. HotPathsPath names
-	// the file in diagnostics and cache salts.
-	HotPkgs      []string
-	HotPathsPath string
 }
 
 // SchemaBinding ties one codec-encoded struct to the version constant
@@ -290,21 +251,6 @@ type SchemaBinding struct {
 	// OmitFields are top-level fields the codec deliberately does not
 	// serialize, excluded from the fingerprint.
 	OmitFields []string
-}
-
-// DeprecatedAPI names one retired call target for the deprecated
-// analyzer.
-type DeprecatedAPI struct {
-	// PkgSuffix is the defining package's import-path suffix, matched
-	// like every other package scope ("internal/engine").
-	PkgSuffix string
-	// Type is the receiver type name for methods ("" for package-level
-	// functions); pointer receivers are dereferenced before matching.
-	Type string
-	// Name is the function or method name.
-	Name string
-	// Use names the replacement, quoted in the diagnostic.
-	Use string
 }
 
 // DefaultConfig is the project policy enforced by cmd/tableseglint.
@@ -347,13 +293,6 @@ func DefaultConfig() Config {
 		CtxFlowPkgs: []string{
 			"internal/server", "internal/server/client", "internal/engine",
 			"internal/core", "internal/solvers", "internal/stage",
-		},
-		DeprecatedAPIs: []DeprecatedAPI{
-			{PkgSuffix: "internal/engine", Type: "Engine", Name: "Run", Use: "Stream"},
-		},
-		BorrowPkgs: []string{
-			"internal/htmlx", "internal/token", "internal/stage",
-			"internal/phmm", "internal/csp",
 		},
 		WirePkg:       "api/v1",
 		WireLockPath:  WireLockFile,
@@ -399,12 +338,11 @@ func isInternal(pkgPath string) bool {
 		pkgPath == "internal"
 }
 
-// Suite returns the twenty analyzers: the seven expression-level
+// Suite returns the fifteen analyzers: the five expression-level
 // checks, the three CFG-based concurrency checks, the three dataflow
-// checks built on internal/analysis/dataflow, the three
-// interprocedural checks built on internal/analysis/callgraph, the
-// two schema-lock checks built on internal/analysis/schema, and the
-// two escape/borrow checks built on internal/analysis/escape. The
+// checks built on internal/analysis/dataflow, the two
+// interprocedural checks built on internal/analysis/callgraph, and
+// the two schema-lock checks built on internal/analysis/schema. The
 // order is fixed — registration is this literal, never init-order or
 // map-iteration dependent — because the driver's cache keys and the
 // -list output both derive from it.
@@ -415,7 +353,6 @@ func Suite() []*Analyzer {
 		ErrWrap(),
 		FloatEq(),
 		StagePurity(),
-		Deprecated(),
 		GoroLeak(),
 		LockDiscipline(),
 		ChanContract(),
@@ -423,13 +360,9 @@ func Suite() []*Analyzer {
 		ProbFlow(),
 		AliasFlow(),
 		CtxFlow(),
-		LockFlow(),
 		HTTPResp(),
 		WireDrift(),
 		CodecDrift(),
-		BorrowFlow(),
-		PoolSafe(),
-		HotAlloc(),
 	}
 }
 
@@ -512,6 +445,16 @@ func SortDiagnostics(diags []Diagnostic) {
 
 const ignoreDirective = "tableseglint:ignore"
 
+// parseIgnore reports whether c is an ignore directive and returns the
+// words after it: the analyzer name, then the reason.
+func parseIgnore(c *ast.Comment) (fields []string, ok bool) {
+	text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+	if !strings.HasPrefix(text, ignoreDirective) {
+		return nil, false
+	}
+	return strings.Fields(strings.TrimPrefix(text, ignoreDirective)), true
+}
+
 // filterSuppressed drops diagnostics covered by an ignore directive on
 // the same line or the line immediately above.
 func filterSuppressed(pkg *Package, diags []Diagnostic) []Diagnostic {
@@ -520,13 +463,8 @@ func filterSuppressed(pkg *Package, diags []Diagnostic) []Diagnostic {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, ignoreDirective) {
-					continue
-				}
-				fields := strings.Fields(strings.TrimPrefix(text, ignoreDirective))
-				if len(fields) < 2 {
+				fields, ok := parseIgnore(c)
+				if !ok || len(fields) < 2 {
 					// The reason is mandatory: a bare
 					// "//tableseglint:ignore determinism" suppresses
 					// nothing, so unexplained exceptions cannot

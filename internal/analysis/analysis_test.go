@@ -15,7 +15,7 @@ import (
 var fixtureDirs = []string{
 	"api/v1", "internal/core", "internal/csp", "internal/engine",
 	"internal/phmm", "internal/server", "internal/solvers",
-	"internal/stage", "internal/token", "util",
+	"internal/stage", "util",
 }
 
 // wantRe matches a golden-diagnostic expectation trailing a fixture
@@ -46,10 +46,6 @@ func loadFixtureDiagnostics(t *testing.T) []Diagnostic {
 	// locks, so wiredrift and codecdrift run live here too.
 	if err := LoadSchemaLocks(&cfg, root); err != nil {
 		t.Fatalf("LoadSchemaLocks: %v", err)
-	}
-	// ... and its own hot-path declaration, so hotalloc runs live too.
-	if err := LoadHotPaths(&cfg, root); err != nil {
-		t.Fatalf("LoadHotPaths: %v", err)
 	}
 	var diags []Diagnostic
 	for _, dir := range fixtureDirs {

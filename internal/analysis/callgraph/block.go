@@ -7,12 +7,11 @@ import (
 	"strings"
 )
 
-// This file is the may-block call classifier, lifted out of
-// internal/analysis/mayblock.go so both the intra-procedural
-// concurrency analyzers (through thin wrappers in the analysis
-// package) and the interprocedural summary computation share one
-// definition of "operation after which a goroutine may park": channel
-// sends and receives, selects without a ready branch,
+// This file is the may-block call classifier, shared by the
+// intra-procedural concurrency analyzers (goroleak, lockdiscipline,
+// chancontract) and the interprocedural summary computation, so both
+// use one definition of "operation after which a goroutine may park":
+// channel sends and receives, selects without a ready branch,
 // sync.WaitGroup.Wait, sync.Once.Do (the loser of a concurrent first
 // call parks until the winner finishes), acquiring another mutex,
 // time.Sleep, and solver invocations (exported
@@ -82,9 +81,9 @@ func (k Kind) String() string {
 // Shared with the analysis package's ctxdiscipline analyzer.
 var EntryPointPrefixes = []string{"Segment", "Solve", "Fit", "Run", "Train"}
 
-// HasEntryPrefix reports whether name carries one of the long-running
+// hasEntryPrefix reports whether name carries one of the long-running
 // entry-point verb prefixes.
-func HasEntryPrefix(name string) bool {
+func hasEntryPrefix(name string) bool {
 	for _, p := range EntryPointPrefixes {
 		if strings.HasPrefix(name, p) {
 			return true
@@ -247,7 +246,7 @@ func BlockingCall(info *types.Info, call *ast.CallExpr) (string, Kind) {
 	case *ast.SelectorExpr:
 		nameID = fun.Sel
 	}
-	if nameID != nil && ast.IsExported(nameID.Name) && HasEntryPrefix(nameID.Name) {
+	if nameID != nil && ast.IsExported(nameID.Name) && hasEntryPrefix(nameID.Name) {
 		if _, isFunc := info.Uses[nameID].(*types.Func); isFunc {
 			return "solver invocation " + nameID.Name, KindSolver
 		}

@@ -5,8 +5,8 @@
 // analyzers see one function body at a time, while the summaries here
 // answer "does this callee, transitively, block?", "does it thread
 // its context into everything that blocks?", and "does it write an
-// HTTP response on every path?" — the facts the ctxflow, lockflow and
-// httpresp analyzers consume.
+// HTTP response on every path?" — the facts the ctxflow and httpresp
+// analyzers, and lockdiscipline's held-across check, consume.
 //
 // The graph resolves:
 //
@@ -501,21 +501,21 @@ func (g *Graph) devirtualize(recv types.Type, m *types.Func) *types.Func {
 	return nil
 }
 
-// EdgeAt returns the edge recorded for a call site of n, nil when the
+// edgeAt returns the edge recorded for a call site of n, nil when the
 // call was not walked (e.g. it lies in a nested literal).
-func (n *Node) EdgeAt(call *ast.CallExpr) *Edge {
+func (n *Node) edgeAt(call *ast.CallExpr) *Edge {
 	if n.sites == nil {
 		return nil
 	}
 	return n.sites[call]
 }
 
-// SCCs partitions the graph into strongly connected components over
+// sccs partitions the graph into strongly connected components over
 // Call and Defer edges (the edges whose blocking charges to the
 // caller), returned in reverse topological order: every component
 // appears after the components it calls into, so a bottom-up summary
 // pass can process them in slice order.
-func (g *Graph) SCCs() [][]*Node {
+func (g *Graph) sccs() [][]*Node {
 	// Tarjan's algorithm, iterative over the deterministic node order.
 	index := map[*Node]int{}
 	low := map[*Node]int{}

@@ -342,7 +342,7 @@ func mid()  { leaf() }
 func top()  { mid() }
 `)
 	pos := map[string]int{}
-	for i, scc := range g.SCCs() {
+	for i, scc := range g.sccs() {
 		for _, n := range scc {
 			if n.Fn != nil {
 				pos[n.Fn.Name()] = i

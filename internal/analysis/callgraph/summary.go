@@ -125,7 +125,7 @@ func (g *Graph) Summarize() {
 		return
 	}
 	g.summarized = true
-	for _, scc := range g.SCCs() {
+	for _, scc := range g.sccs() {
 		for changed := true; changed; {
 			changed = false
 			for _, n := range scc {
@@ -207,7 +207,7 @@ func (g *Graph) computeSummary(n *Node) Summary {
 	// Long-running entry points block by project contract, whatever
 	// their bodies look like today (mirrors the intra classifier's
 	// treatment of their call sites).
-	if n.Fn != nil && n.Fn.Exported() && HasEntryPrefix(n.Fn.Name()) {
+	if n.Fn != nil && n.Fn.Exported() && hasEntryPrefix(n.Fn.Name()) {
 		s.addBlock(KindSolver, "long-running entry point "+n.Fn.Name()+" by contract", n.posOf())
 	}
 
@@ -626,7 +626,7 @@ func (g *Graph) computeRespondEvents(n *Node) {
 
 		// Delegation: the writer passed onward.
 		if !inert && !ev.Respond && !ev.HeaderMut && callHasRWArg(info, call) {
-			if e := n.EdgeAt(call); e != nil && e.Callee != nil {
+			if e := n.edgeAt(call); e != nil && e.Callee != nil {
 				cs := &e.Callee.Summary
 				switch {
 				case cs.SetsStatus:
@@ -706,7 +706,7 @@ func (n *Node) nodeHasEvent(m ast.Node, statusOnly bool) bool {
 // ResolvedCallee returns the module-local callee of a call site of n,
 // nil when the call is external or unresolved.
 func (n *Node) ResolvedCallee(call *ast.CallExpr) *Node {
-	if e := n.EdgeAt(call); e != nil {
+	if e := n.edgeAt(call); e != nil {
 		return e.Callee
 	}
 	return nil

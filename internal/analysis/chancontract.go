@@ -3,6 +3,8 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+
+	"tableseg/internal/analysis/callgraph"
 )
 
 // ChanContract returns the analyzer enforcing channel ownership across
@@ -186,7 +188,7 @@ func checkSendRace(pass *Pass, fn *ast.FuncDecl, ch types.Object, site closeSite
 		if !ok || call.Pos() >= site.call.Pos() {
 			return true
 		}
-		if recv, method := pass.syncSelector(call); recv == "WaitGroup" && method == "Wait" {
+		if recv, method := callgraph.SyncSelector(pass.Pkg.Info, call); recv == "WaitGroup" && method == "Wait" {
 			joined = true
 		}
 		return true

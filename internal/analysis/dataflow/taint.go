@@ -31,16 +31,6 @@ type TaintConfig struct {
 	// e.g. emitType(...) yields a probability. Optional.
 	ResultTaint func(call *ast.CallExpr) Mask
 
-	// LiftCall adds summary-lifted taint to a non-conversion call's
-	// result: it receives the call plus an evaluator for argument masks
-	// under the current fact, and returns the mask the result inherits.
-	// This is the hook through which the escape layer maps "callee
-	// returns a view of parameter i" onto "the result carries argument
-	// i's provenance" — unlike ResultTaint it can see what actually
-	// flowed into each argument. Evaluated in addition to ResultTaint.
-	// Optional.
-	LiftCall func(call *ast.CallExpr, argMask func(ast.Expr) Mask) Mask
-
 	// SanitizerCall reports whether a call is a sanitizer: its result
 	// is clean, and the objects passed as plain identifier arguments
 	// are killed after the node (branch-insensitively: the CFG has no
@@ -213,9 +203,6 @@ func (t *Taint) exprMask(fact taintFact, e ast.Expr) Mask {
 		}
 		if conv, operand := t.conversionOperand(e); conv {
 			return src | m | t.exprMask(fact, operand)
-		}
-		if t.cfg.LiftCall != nil {
-			m |= t.cfg.LiftCall(e, func(a ast.Expr) Mask { return t.exprMask(fact, a) })
 		}
 		if id, ok := e.Fun.(*ast.Ident); ok {
 			switch id.Name {

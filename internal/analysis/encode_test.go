@@ -207,10 +207,11 @@ func TestSortDiagnosticsGlobal(t *testing.T) {
 	}
 }
 
-// TestEncodeSARIFInterprocAnalyzers pins the SARIF shape of the three
-// interprocedural analyzers: each is a registered rule (so viewers can
-// show its doc string) and a diagnostic from each maps ruleId and
-// ruleIndex consistently.
+// TestEncodeSARIFInterprocAnalyzers pins the SARIF shape of the
+// analyzers that report through call-graph summaries (ctxflow,
+// httpresp, and lockdiscipline's may-block callee check): each is a
+// registered rule (so viewers can show its doc string) and a
+// diagnostic from each maps ruleId and ruleIndex consistently.
 func TestEncodeSARIFInterprocAnalyzers(t *testing.T) {
 	diags := []Diagnostic{
 		{
@@ -224,7 +225,7 @@ func TestEncodeSARIFInterprocAnalyzers(t *testing.T) {
 			Message:  "handler handleSegment does not respond on every path: some branch returns without writing a response or delegating to something that does",
 		},
 		{
-			Analyzer: "lockflow",
+			Analyzer: "lockdiscipline",
 			Pos:      token.Position{Filename: "internal/engine/engine.go", Line: 30, Column: 2},
 			Message:  "e.mu held across call to engine.(*Engine).drain, which may block (channel receive); release the lock before the call",
 		},
@@ -242,7 +243,7 @@ func TestEncodeSARIFInterprocAnalyzers(t *testing.T) {
 	for i, r := range rules {
 		byID[r.ID] = i
 	}
-	for _, name := range []string{"ctxflow", "lockflow", "httpresp"} {
+	for _, name := range []string{"ctxflow", "lockdiscipline", "httpresp"} {
 		idx, ok := byID[name]
 		if !ok {
 			t.Errorf("rule %q missing from driver rules", name)

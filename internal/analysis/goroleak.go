@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 
+	"tableseg/internal/analysis/callgraph"
 	"tableseg/internal/analysis/cfg"
 )
 
@@ -51,7 +52,7 @@ func GoroLeak() *Analyzer {
 }
 
 func checkGoroutines(pass *Pass, fn *ast.FuncDecl) {
-	exempt := nonBlockingComms(fn.Body)
+	exempt := callgraph.NonBlockingComms(fn.Body)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		g, ok := n.(*ast.GoStmt)
 		if !ok {
@@ -100,7 +101,7 @@ func goroutineExitProof(pass *Pass, fn *ast.FuncDecl, g *ast.GoStmt, lit *ast.Fu
 	if closedProof {
 		return ""
 	}
-	ops := pass.collectBlocking(lit.Body, exempt)
+	ops := callgraph.CollectBlocking(pass.Pkg.Info, lit.Body, exempt)
 	// Rule 3: nothing can block and the body terminates.
 	if len(ops) == 0 {
 		body := cfg.New(lit.Body)
@@ -113,7 +114,7 @@ func goroutineExitProof(pass *Pass, fn *ast.FuncDecl, g *ast.GoStmt, lit *ast.Fu
 	// checked.
 	joiner := true
 	for _, op := range ops {
-		if op.what != "sync.WaitGroup.Wait" {
+		if op.What != "sync.WaitGroup.Wait" {
 			joiner = false
 			break
 		}
@@ -121,7 +122,7 @@ func goroutineExitProof(pass *Pass, fn *ast.FuncDecl, g *ast.GoStmt, lit *ast.Fu
 	if joiner {
 		return ""
 	}
-	return "first blocking operation is a " + ops[0].what
+	return "first blocking operation is a " + ops[0].What
 }
 
 // receivesCtxDone reports whether body (excluding nested function

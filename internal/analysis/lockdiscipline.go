@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/types"
 
+	"tableseg/internal/analysis/callgraph"
 	"tableseg/internal/analysis/cfg"
 )
 
@@ -14,10 +15,13 @@ import (
 // across a potentially-blocking operation — a channel send or receive,
 // a select case communication (selects with a default are exempt: they
 // cannot block), sync.WaitGroup.Wait, sync.Once.Do, acquiring another
-// lock, or a solver invocation. Holding a lock across any of these
-// turns an unrelated stall into a deadlock of every goroutine sharing
-// the cache or registry the lock guards — precisely the failure mode
-// that makes batch runs hang instead of reproducing Tables 1–4.
+// lock, a solver invocation, or a call to a module-local function whose
+// call-graph summary says it may block (so hiding a channel receive or
+// a WaitGroup join one helper call deep does not silence the check).
+// Holding a lock across any of these turns an unrelated stall into a
+// deadlock of every goroutine sharing the cache or registry the lock
+// guards — precisely the failure mode that makes batch runs hang
+// instead of reproducing Tables 1–4.
 //
 // Locks are identified by the printed receiver expression (e.g. e.mu,
 // c.cache.mu), which is exact for the suite's shapes: a mutex reached
@@ -26,7 +30,7 @@ import (
 func LockDiscipline() *Analyzer {
 	a := &Analyzer{
 		Name: "lockdiscipline",
-		Doc:  "require every mutex acquisition to unlock on all paths and never hold a lock across a may-block call",
+		Doc:  "require every mutex acquisition to unlock on all paths and never hold a lock across a may-block operation or callee",
 	}
 	a.Run = func(pass *Pass) {
 		for _, f := range pass.Pkg.Files {
@@ -34,12 +38,18 @@ func LockDiscipline() *Analyzer {
 				switch n := n.(type) {
 				case *ast.FuncDecl:
 					if n.Body != nil {
-						checkLocks(pass, n.Body)
+						var node *callgraph.Node
+						if fn, _ := pass.Pkg.Info.Defs[n.Name].(*types.Func); fn != nil && pass.Facts != nil {
+							node = pass.Facts.NodeOf(fn)
+						}
+						checkLocks(pass, node, n.Body)
 					}
-					return true
 				case *ast.FuncLit:
-					checkLocks(pass, n.Body)
-					return true
+					var node *callgraph.Node
+					if pass.Facts != nil {
+						node = pass.Facts.LitNode(n)
+					}
+					checkLocks(pass, node, n.Body)
 				}
 				return true
 			})
@@ -60,7 +70,7 @@ type lockEvent struct {
 // mutexCall classifies call as a Lock/Unlock-family method on a
 // sync.Mutex or sync.RWMutex and returns the receiver key.
 func mutexCall(pass *Pass, call *ast.CallExpr) (key, method string) {
-	recv, method := pass.syncSelector(call)
+	recv, method := callgraph.SyncSelector(pass.Pkg.Info, call)
 	if recv != "Mutex" && recv != "RWMutex" {
 		return "", ""
 	}
@@ -73,21 +83,24 @@ func mutexCall(pass *Pass, call *ast.CallExpr) (key, method string) {
 }
 
 // checkLocks analyzes one function body (outermost statements only;
-// nested literals get their own call).
-func checkLocks(pass *Pass, body *ast.BlockStmt) {
+// nested literals get their own call). node is the body's call-graph
+// node, through which calls resolve to their callees' summaries; nil
+// (no fact base) limits the held-across check to the body's own
+// operations.
+func checkLocks(pass *Pass, node *callgraph.Node, body *ast.BlockStmt) {
 	graph := cfg.New(body)
-	exempt := nonBlockingComms(body)
+	exempt := callgraph.NonBlockingComms(body)
 
 	// Collect the acquisition events block by block. Node expressions
 	// are scanned without descending into nested literals, mirroring
 	// the classifier's scoping.
 	var locks []lockEvent
 	for _, blk := range graph.Blocks {
-		for i, node := range blk.Nodes {
-			if _, isDefer := node.(*ast.DeferStmt); isDefer {
+		for i, stmt := range blk.Nodes {
+			if _, isDefer := stmt.(*ast.DeferStmt); isDefer {
 				continue // defer mu.Lock() is nonsense we don't model
 			}
-			inspectShallow(node, func(n ast.Node) bool {
+			inspectShallow(stmt, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
@@ -109,28 +122,18 @@ func checkLocks(pass *Pass, body *ast.BlockStmt) {
 			unlockName = "RUnlock"
 		}
 		isRelease := func(n ast.Node) bool {
-			released := false
-			inspectShallow(n, func(m ast.Node) bool {
-				if call, ok := m.(*ast.CallExpr); ok {
-					if key, method := mutexCall(pass, call); key == lk.key && method == unlockName {
-						released = true
-					}
-				}
-				return !released
-			})
 			// A defer node counts through its call, which
-			// inspectShallow skips; look at it directly.
-			if d, ok := n.(*ast.DeferStmt); ok && !released {
-				if key, method := mutexCall(pass, d.Call); key == lk.key && method == unlockName {
-					released = true
-				}
+			// explicitRelease skips; look at it directly.
+			if d, ok := n.(*ast.DeferStmt); ok {
+				key, method := mutexCall(pass, d.Call)
+				return key == lk.key && method == unlockName
 			}
-			return released
+			return explicitRelease(pass, n, lk.key, unlockName)
 		}
 		if !graph.AllPathsContain(lk.block, lk.idx, isRelease) {
 			pass.Reportf(lk.call.Pos(), "%s.%s is not released on every path out of the function; unlock on each path or defer %s.%s", lk.key, lockName(lk.read), lk.key, unlockName)
 		}
-		checkHeldAcross(pass, graph, lk, unlockName, exempt)
+		checkHeldAcross(pass, node, graph, lk, unlockName, exempt)
 	}
 }
 
@@ -142,39 +145,29 @@ func lockName(read bool) string {
 }
 
 // checkHeldAcross walks every path from the acquisition until its
-// release and reports potentially-blocking operations encountered
-// while the lock is held. A deferred release never clears the held
-// state (the lock stays held to function exit by design), so anything
-// blocking after it is still reported.
-func checkHeldAcross(pass *Pass, graph *cfg.Graph, lk lockEvent, unlockName string, exempt map[ast.Node]bool) {
+// release and reports, per CFG node, the first potentially-blocking
+// operation encountered while the lock is held or else the first call
+// to a module-local callee whose summary may block. A deferred release
+// never clears the held state (the lock stays held to function exit by
+// design), so anything blocking after it is still reported.
+func checkHeldAcross(pass *Pass, node *callgraph.Node, graph *cfg.Graph, lk lockEvent, unlockName string, exempt map[ast.Node]bool) {
 	reported := map[ast.Node]bool{}
-	releasedBy := func(n ast.Node) bool {
-		// Only an explicit (non-deferred) unlock call releases here.
-		if _, isDefer := n.(*ast.DeferStmt); isDefer {
-			return false
-		}
-		released := false
-		inspectShallow(n, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok {
-				if key, method := mutexCall(pass, call); key == lk.key && method == unlockName {
-					released = true
-				}
-			}
-			return !released
-		})
-		return released
-	}
 	seen := map[*cfg.Block]bool{}
 	var walk func(b *cfg.Block, start int)
 	walk = func(b *cfg.Block, start int) {
 		for i := start; i < len(b.Nodes); i++ {
 			n := b.Nodes[i]
-			if releasedBy(n) {
+			if explicitRelease(pass, n, lk.key, unlockName) {
 				return // lock released on this path
 			}
-			if op := pass.firstBlocking(n, exempt); op != nil && !reported[op.node] {
-				reported[op.node] = true
-				pass.Reportf(op.node.Pos(), "%s held across %s; release the lock before blocking (move the %s out of the critical section)", lk.key, op.what, op.what)
+			if ops := callgraph.CollectBlocking(pass.Pkg.Info, n, exempt); len(ops) > 0 {
+				if op := ops[0]; !reported[op.Node] {
+					reported[op.Node] = true
+					pass.Reportf(op.Node.Pos(), "%s held across %s; release the lock before blocking (move the %s out of the critical section)", lk.key, op.What, op.What)
+				}
+			} else if call, callee := blockingCallee(pass, node, n); call != nil && !reported[call] {
+				reported[call] = true
+				pass.Reportf(call.Pos(), "%s held across call to %s, which may block (%s); release the lock before the call", lk.key, callee.Name(), callee.Summary.BlockWhat)
 			}
 		}
 		if seen[b] {
@@ -186,6 +179,51 @@ func checkHeldAcross(pass *Pass, graph *cfg.Graph, lk lockEvent, unlockName stri
 		}
 	}
 	walk(lk.block, lk.idx+1)
+}
+
+// explicitRelease reports whether n calls key's unlockName method
+// directly; deferred calls (and nested literals) do not count, since
+// inspectShallow skips them.
+func explicitRelease(pass *Pass, n ast.Node, key, unlockName string) bool {
+	released := false
+	inspectShallow(n, func(m ast.Node) bool {
+		if call, ok := m.(*ast.CallExpr); ok {
+			if k, method := mutexCall(pass, call); k == key && method == unlockName {
+				released = true
+			}
+		}
+		return !released
+	})
+	return released
+}
+
+// blockingCallee returns the first call in n (outside nested literals
+// and go/defer statements) that resolves to a module-local callee whose
+// summary may block, or nil when node is nil or there is none.
+func blockingCallee(pass *Pass, node *callgraph.Node, n ast.Node) (*ast.CallExpr, *callgraph.Node) {
+	if node == nil {
+		return nil, nil
+	}
+	var call *ast.CallExpr
+	var callee *callgraph.Node
+	inspectShallow(n, func(m ast.Node) bool {
+		c, ok := m.(*ast.CallExpr)
+		if call != nil || !ok {
+			return call == nil
+		}
+		// Calls the intrinsic classifier knows (solver entry points,
+		// sync methods) are its to report, even where a select with a
+		// default exempts them.
+		if what, _ := callgraph.BlockingCall(pass.Pkg.Info, c); what != "" {
+			return true
+		}
+		if cn := node.ResolvedCallee(c); cn != nil && cn.Summary.Blocks != 0 {
+			call, callee = c, cn
+			return false
+		}
+		return true
+	})
+	return call, callee
 }
 
 // inspectShallow walks n without descending into nested function

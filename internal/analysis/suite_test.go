@@ -1,6 +1,11 @@
 package analysis
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -14,7 +19,6 @@ var suiteOrder = []string{
 	"errwrap",
 	"floateq",
 	"stagepurity",
-	"deprecated",
 	"goroleak",
 	"lockdiscipline",
 	"chancontract",
@@ -22,13 +26,9 @@ var suiteOrder = []string{
 	"probflow",
 	"aliasflow",
 	"ctxflow",
-	"lockflow",
 	"httpresp",
 	"wiredrift",
 	"codecdrift",
-	"borrowflow",
-	"poolsafe",
-	"hotalloc",
 }
 
 // TestSuiteOrderPinned pins the exact analyzer count and registration
@@ -83,20 +83,20 @@ func TestSortDiagnosticsDeterministic(t *testing.T) {
 		return diag
 	}
 	scrambled := []Diagnostic{
-		d("b.go", 3, 1, "poolsafe"),
-		d("a.go", 9, 2, "hotalloc"),
-		d("b.go", 3, 1, "borrowflow"),
-		d("a.go", 9, 2, "aliasflow"),
+		d("b.go", 3, 1, "probflow"),
+		d("a.go", 9, 2, "httpresp"),
+		d("b.go", 3, 1, "aliasflow"),
+		d("a.go", 9, 2, "ctxflow"),
 		d("a.go", 2, 7, "determinism"),
-		d("b.go", 1, 1, "hotalloc"),
+		d("b.go", 1, 1, "httpresp"),
 	}
 	want := []Diagnostic{
 		d("a.go", 2, 7, "determinism"),
-		d("a.go", 9, 2, "aliasflow"),
-		d("a.go", 9, 2, "hotalloc"),
-		d("b.go", 1, 1, "hotalloc"),
-		d("b.go", 3, 1, "borrowflow"),
-		d("b.go", 3, 1, "poolsafe"),
+		d("a.go", 9, 2, "ctxflow"),
+		d("a.go", 9, 2, "httpresp"),
+		d("b.go", 1, 1, "httpresp"),
+		d("b.go", 3, 1, "aliasflow"),
+		d("b.go", 3, 1, "probflow"),
 	}
 	SortDiagnostics(scrambled)
 	for i := range want {
@@ -112,5 +112,62 @@ func TestSortDiagnosticsDeterministic(t *testing.T) {
 		if resorted[i] != scrambled[i] {
 			t.Errorf("SortDiagnostics is not idempotent at [%d]", i)
 		}
+	}
+}
+
+// TestIgnoreDirectivesNameLiveAnalyzers walks every Go file of the
+// module outside testdata and checks that each ignore directive names
+// an analyzer of Suite() and gives a reason. A directive naming a
+// deleted or renamed analyzer suppresses nothing, so without this
+// check it would linger in the code unnoticed.
+func TestIgnoreDirectivesNameLiveAnalyzers(t *testing.T) {
+	live := map[string]bool{}
+	for _, a := range Suite() {
+		live[a.Name] = true
+	}
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	directives := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				fields, ok := parseIgnore(c)
+				if !ok {
+					continue
+				}
+				directives++
+				pos := fset.Position(c.Pos())
+				switch {
+				case len(fields) == 0 || !live[fields[0]]:
+					t.Errorf("%s: ignore directive %q names no analyzer of the suite", pos, c.Text)
+				case len(fields) < 2:
+					t.Errorf("%s: ignore directive %q gives no reason, so it suppresses nothing", pos, c.Text)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if directives == 0 {
+		t.Fatal("found no ignore directives; is the walk rooted at the module?")
 	}
 }

@@ -1,10 +1,10 @@
 package engine
 
-// Fixtures for the interprocedural analyzers: ctxflow (a held context
-// must reach every may-block callee) and lockflow (no mutex held
-// across a call to a helper whose summary is may-block). The helpers
-// below hide the blocking operation one call deep, exactly the blind
-// spot the intra-procedural ctxdiscipline/lockdiscipline cannot see.
+// Fixtures for the checks that read call-graph summaries: ctxflow (a
+// held context must reach every may-block callee) and lockdiscipline's
+// callee check (no mutex held across a call to a helper whose summary
+// is may-block). The helpers below hide the blocking operation one
+// call deep, where a purely intra-procedural check would miss it.
 
 import (
 	"context"
@@ -70,7 +70,21 @@ func (w *worker) recvDone() {
 
 func lockAcrossHelper(w *worker) {
 	w.mu.Lock()
-	w.recvDone() // want lockflow "may block"
+	w.recvDone() // want lockdiscipline "may block"
+	w.mu.Unlock()
+}
+
+// waitCount hides a channel receive one call deep and returns a value.
+func (w *worker) waitCount() int {
+	<-w.done
+	return w.n
+}
+
+// lockAcrossBoth blocks twice in one statement: the walk reports the
+// intrinsic send, and only that, for the node.
+func lockAcrossBoth(w *worker, out chan<- int) {
+	w.mu.Lock()
+	out <- w.waitCount() // want lockdiscipline "held across channel send"
 	w.mu.Unlock()
 }
 
@@ -84,5 +98,5 @@ func lockReleasedFirst(w *worker) {
 func lockHeldByDesign(w *worker) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.recvDone() //tableseglint:ignore lockflow w.done is closed before this is reachable, so the receive cannot park
+	w.recvDone() //tableseglint:ignore lockdiscipline w.done is closed before this is reachable, so the receive cannot park
 }

@@ -10,9 +10,6 @@ var (
 	// ErrTooFewListPages: the input carried no list pages (at least one
 	// is required; two or more enable cross-page template induction).
 	ErrTooFewListPages = errors.New("core: too few list pages")
-	// ErrNoListPages is a deprecated alias for ErrTooFewListPages kept
-	// for callers of the original API.
-	ErrNoListPages = ErrTooFewListPages
 	// ErrNoDetailPages: the input carried no detail pages.
 	ErrNoDetailPages = errors.New("core: no detail pages")
 	// ErrBadTarget: the target index is outside the list-page slice.

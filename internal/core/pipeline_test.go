@@ -275,8 +275,8 @@ func TestMethodString(t *testing.T) {
 
 func TestSentinelErrors(t *testing.T) {
 	lists, details := buildSite(rows1, rows2)
-	if _, err := segment(Input{DetailPages: details}, DefaultOptions(CSP)); !errors.Is(err, ErrNoListPages) {
-		t.Errorf("err = %v, want ErrNoListPages", err)
+	if _, err := segment(Input{DetailPages: details}, DefaultOptions(CSP)); !errors.Is(err, ErrTooFewListPages) {
+		t.Errorf("err = %v, want ErrTooFewListPages", err)
 	}
 	if _, err := segment(Input{ListPages: lists, Target: 9, DetailPages: details}, DefaultOptions(CSP)); !errors.Is(err, ErrBadTarget) {
 		t.Errorf("err = %v, want ErrBadTarget", err)

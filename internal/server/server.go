@@ -10,7 +10,7 @@
 // concurrency analyzers: every goroutine has a provable exit, no lock
 // is held across a may-block call, every channel has a single closing
 // owner, and no context is minted outside the daemon binary — `make
-// lint-self` runs the full analyzer suite over it.
+// lint` runs the full analyzer suite over it.
 package server
 
 import (

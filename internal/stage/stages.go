@@ -62,15 +62,9 @@ func Tokenize(ctx context.Context, in TokenizeIn) (TokenizeOut, error) {
 	// PreparedLists (and cache-returned token slices) are shared by
 	// contract: token slices are write-once after tokenization, and
 	// copying every page's tokens would defeat the prepared-input seam.
-	// Audited against the escape/borrow model: tokens own their text
-	// today (Token.Text is a copied string, dataflow.CarriesRefs is
-	// false for it), so no borrowed []byte view rides through this
-	// alias. When the zero-copy refactor gives Token a []byte view of
-	// the page buffer, borrowflow takes over at this exact boundary —
-	// Tokenize is exported and stage-shaped, so a view in the returned
-	// artifact becomes a hard finding, not a judgement call — and this
-	// ignore stays scoped to the slice-header alias only.
-	//tableseglint:ignore aliasflow prepared token slices are immutable by contract and shared deliberately; tokens carry no borrowed views (borrowflow polices that at this boundary)
+	// Tokens own their text (Token.Text is a copied string), so the
+	// alias shares only the slice headers, never a page buffer.
+	//tableseglint:ignore aliasflow prepared token slices are immutable by contract and shared deliberately; tokens own their text
 	return out, nil
 }
 
@@ -90,12 +84,9 @@ func InduceTemplate(ctx context.Context, in TemplateIn) (Template, error) {
 	if in.Prepared != nil {
 		// The prepared template is handed through untouched: induction
 		// output is immutable once built, so the alias is the contract.
-		// Audited against the escape/borrow model: the template stores
-		// token streams whose text is owned (copied strings), so the
-		// alias shares no borrowed buffer; if induction ever starts
-		// retaining []byte views, borrowflow flags InduceTemplate's
-		// return at this stage boundary independently of this ignore.
-		//tableseglint:ignore aliasflow prepared templates are immutable after induction and shared deliberately; they hold no borrowed views (borrowflow polices that at this boundary)
+		// The template stores token streams whose text is owned (copied
+		// strings), so the alias shares no page buffer.
+		//tableseglint:ignore aliasflow prepared templates are immutable after induction and shared deliberately; their tokens own their text
 		return Template{Tpl: in.Prepared}, nil
 	}
 	if len(in.Lists) < 2 {

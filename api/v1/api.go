@@ -89,10 +89,12 @@ func (r *SegmentRequest) Options() (tableseg.Options, error) {
 	if err != nil {
 		return tableseg.Options{}, err
 	}
-	return tableseg.NewOptions(
-		tableseg.WithMethod(m),
-		tableseg.WithSolver(r.Solver),
-	)
+	opts := tableseg.DefaultOptions(m)
+	opts.Solver = r.Solver
+	if err := opts.Validate(); err != nil {
+		return tableseg.Options{}, err
+	}
+	return opts, nil
 }
 
 // OptionsKey is the part of the coalescing key contributed by the

@@ -14,9 +14,9 @@ import (
 	"tableseg/internal/sitegen"
 )
 
-// TestRequestOptions pins the wire->library configuration mapping to
-// the functional-options path: every method spelling lands on the
-// matching DefaultOptions, and bad input is ErrBadOptions.
+// TestRequestOptions pins the wire->library configuration mapping:
+// every method spelling lands on the matching DefaultOptions, and bad
+// input is ErrBadOptions.
 func TestRequestOptions(t *testing.T) {
 	cases := []struct {
 		wire string
@@ -177,7 +177,7 @@ func TestResponseFromSegmentation(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := experiments.BuildInput(sitegen.Generate(p, experiments.DefaultSeed), 0)
-	seg, err := tableseg.SegmentProbabilistic(in)
+	seg, err := tableseg.Segment(in, tableseg.DefaultOptions(tableseg.Probabilistic))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,12 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, r := range eng.SegmentAll(context.Background(), inputs) {
+			tasks := make(chan engine.Task, len(inputs))
+			for _, in := range inputs {
+				tasks <- engine.Task{Input: in}
+			}
+			close(tasks)
+			for r := range eng.Stream(context.Background(), tasks) {
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}

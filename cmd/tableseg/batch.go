@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"tableseg"
+	apiv1 "tableseg/api/v1"
 )
 
 // manifestTask is one entry of a -batch manifest: the file-path form of
@@ -24,16 +25,6 @@ type manifestTask struct {
 	Details []string `json:"details"`
 }
 
-// batchJob carries the batch-mode flag state into runBatch.
-type batchJob struct {
-	manifest string
-	method   tableseg.Method
-	jsonOut  bool
-	csvOut   bool
-	columns  bool
-	stats    bool
-}
-
 // jsonBatchLine is the JSONL shape of one batch result: exactly one of
 // Output and Error is set.
 type jsonBatchLine struct {
@@ -48,8 +39,8 @@ type jsonBatchLine struct {
 // the output is flushed as a strictly contiguous prefix, so two runs
 // over the same manifest produce byte-identical streams. It returns 0
 // when every task succeeded, 1 when any failed, 2 on a bad manifest.
-func runBatch(ctx context.Context, eng *tableseg.Engine, job batchJob, stdout, stderr io.Writer) int {
-	tasks, code := loadManifest(job.manifest, stderr)
+func runBatch(ctx context.Context, eng *tableseg.Engine, manifest string, out outputMode, stats bool, stdout, stderr io.Writer) int {
+	tasks, code := loadManifest(manifest, stderr)
 	if code != 0 {
 		return code
 	}
@@ -79,7 +70,7 @@ func runBatch(ctx context.Context, eng *tableseg.Engine, job batchJob, stdout, s
 		if res.Stats.ResultCacheHit {
 			resumed++
 		}
-		if err := emitBatchResult(stdout, res, job); err != nil {
+		if err := emitBatchResult(stdout, res, out); err != nil {
 			fmt.Fprintln(stderr, "tableseg:", err)
 			return 1
 		}
@@ -100,7 +91,7 @@ func runBatch(ctx context.Context, eng *tableseg.Engine, job batchJob, stdout, s
 		}
 	}
 
-	if job.stats {
+	if stats {
 		fmt.Fprintf(stderr, "stats: batch tasks=%d errors=%d resumed=%d\n",
 			len(tasks), failed, resumed)
 		printCacheStats(stderr, eng.CacheStats())
@@ -167,15 +158,19 @@ func loadManifest(path string, stderr io.Writer) ([]tableseg.Task, int) {
 // mode. JSON mode emits one compact JSONL object per task; CSV mode a
 // commented header plus the table; text mode a task banner plus the
 // usual report.
-func emitBatchResult(stdout io.Writer, res tableseg.Result, job batchJob) error {
+func emitBatchResult(stdout io.Writer, res tableseg.Result, out outputMode) error {
+	var resp *apiv1.SegmentResponse
+	if res.Err == nil {
+		resp = apiv1.ResponseFromSegmentation(res.Seg, nil)
+	}
 	switch {
-	case job.jsonOut:
+	case out.json:
 		line := jsonBatchLine{Index: res.Index, ID: res.ID}
 		if res.Err != nil {
 			line.Error = res.Err.Error()
 		} else {
-			out := buildJSONOutput(res.Seg, job.method)
-			line.Output = &out
+			jo := jsonOutputFrom(resp)
+			line.Output = &jo
 		}
 		data, err := json.Marshal(line)
 		if err != nil {
@@ -184,7 +179,7 @@ func emitBatchResult(stdout io.Writer, res tableseg.Result, job batchJob) error 
 		data = append(data, '\n')
 		_, err = stdout.Write(data)
 		return err
-	case job.csvOut:
+	case out.csv:
 		if res.Err != nil {
 			_, err := fmt.Fprintf(stdout, "# task %d %s error: %v\n\n", res.Index, res.ID, res.Err)
 			return err
@@ -192,7 +187,7 @@ func emitBatchResult(stdout io.Writer, res tableseg.Result, job batchJob) error 
 		if _, err := fmt.Fprintf(stdout, "# task %d %s\n", res.Index, res.ID); err != nil {
 			return err
 		}
-		if err := tableseg.WriteCSV(stdout, res.Seg); err != nil {
+		if err := writeCSV(stdout, resp); err != nil {
 			return err
 		}
 		_, err := fmt.Fprintln(stdout)
@@ -205,7 +200,7 @@ func emitBatchResult(stdout io.Writer, res tableseg.Result, job batchJob) error 
 			_, err := fmt.Fprintf(stdout, "error: %v\n", res.Err)
 			return err
 		}
-		printSegText(stdout, res.Seg, job.method, job.columns)
+		printText(stdout, resp, out.columns)
 		return nil
 	}
 }

@@ -21,16 +21,19 @@ package main
 
 import (
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
 	"tableseg"
+	apiv1 "tableseg/api/v1"
 )
 
 // multiFlag collects repeated -list/-detail flags.
@@ -131,116 +134,144 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 
+	out := outputMode{json: *jsonOut, csv: *csvOut, columns: *columns}
 	if *remote != "" {
-		return runRemote(ctx, remoteJob{
-			base:    *remote,
-			in:      in,
-			method:  *method,
-			timeout: *timeout,
-			jsonOut: *jsonOut,
-			csvOut:  *csvOut,
-			columns: *columns,
-			stats:   *stats,
-		}, stdout, stderr)
+		resp, err := segmentRemote(ctx, *remote, in, *method, *timeout, *stats, stderr)
+		if err != nil {
+			fmt.Fprintln(stderr, "tableseg:", err)
+			return 1
+		}
+		return render(stdout, stderr, resp, out)
 	}
 
-	engOpts := []tableseg.EngineOption{
-		tableseg.WithEngineOptions(tableseg.DefaultOptions(m)),
-	}
-	if *cacheDir != "" {
-		engOpts = append(engOpts, tableseg.WithCacheDir(*cacheDir))
-	}
-	if *cacheMem != 0 {
-		engOpts = append(engOpts, tableseg.WithCacheMemoryBudget(*cacheMem))
-	}
-	if *resume {
-		engOpts = append(engOpts, tableseg.WithResume(true))
-	}
-	cfg, err := tableseg.NewEngineConfig(engOpts...)
-	if err != nil {
-		fmt.Fprintln(stderr, "tableseg:", err)
-		return 2
-	}
-	eng, err := tableseg.NewEngine(cfg)
+	eng, err := tableseg.NewEngine(tableseg.EngineConfig{
+		Options:          tableseg.DefaultOptions(m),
+		CacheDir:         *cacheDir,
+		CacheMemoryBytes: *cacheMem,
+		Resume:           *resume,
+	})
 	if err != nil {
 		fmt.Fprintln(stderr, "tableseg:", err)
 		return 2
 	}
 
 	if *batch != "" {
-		return runBatch(ctx, eng, batchJob{
-			manifest: *batch,
-			method:   m,
-			jsonOut:  *jsonOut,
-			csvOut:   *csvOut,
-			columns:  *columns,
-			stats:    *stats,
-		}, stdout, stderr)
+		return runBatch(ctx, eng, *batch, out, *stats, stdout, stderr)
 	}
 
-	res := eng.Segment(ctx, in)
+	results, err := eng.Submit(ctx, tableseg.Task{Input: in})
+	if err != nil {
+		fmt.Fprintln(stderr, "tableseg:", err)
+		return 1
+	}
+	res := <-results
 	if *stats {
 		printStats(stderr, res.Stats, eng.CacheStats())
 	}
-	seg, err := res.Seg, res.Err
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
+	if res.Err != nil {
+		if errors.Is(res.Err, context.DeadlineExceeded) {
 			fmt.Fprintf(stderr, "tableseg: timed out after %v\n", *timeout)
 		} else {
-			fmt.Fprintln(stderr, "tableseg:", err)
+			fmt.Fprintln(stderr, "tableseg:", res.Err)
 		}
 		return 1
 	}
+	return render(stdout, stderr, apiv1.ResponseFromSegmentation(res.Seg, nil), out)
+}
 
-	if *jsonOut {
-		if err := emitJSON(stdout, seg, m); err != nil {
-			fmt.Fprintln(stderr, "tableseg:", err)
-			return 1
-		}
-		return 0
-	}
-	if *csvOut {
-		if err := tableseg.WriteCSV(stdout, seg); err != nil {
-			fmt.Fprintln(stderr, "tableseg:", err)
-			return 1
-		}
-		return 0
-	}
+// outputMode is the rendering selected by -json, -csv and -columns.
+type outputMode struct {
+	json, csv, columns bool
+}
 
-	printSegText(stdout, seg, m, *columns)
+// render writes one segmentation in the selected mode and returns the
+// exit code. Every run renders from the wire response — built locally
+// for in-process runs, received for -remote ones — so the two paths
+// cannot drift apart.
+func render(stdout, stderr io.Writer, resp *apiv1.SegmentResponse, out outputMode) int {
+	var err error
+	switch {
+	case out.json:
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		err = enc.Encode(jsonOutputFrom(resp))
+	case out.csv:
+		err = writeCSV(stdout, resp)
+	default:
+		printText(stdout, resp, out.columns)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "tableseg:", err)
+		return 1
+	}
 	return 0
 }
 
-// printSegText writes the human-readable segmentation report shared by
+// printText writes the human-readable segmentation report shared by
 // the single-site and -batch text modes.
-func printSegText(w io.Writer, seg *tableseg.Segmentation, m tableseg.Method, columns bool) {
-	fmt.Fprintf(w, "method=%s analyzed=%d/%d extracts", m, seg.Analyzed, seg.TotalExtracts)
-	if seg.UsedWholePage {
+func printText(w io.Writer, resp *apiv1.SegmentResponse, columns bool) {
+	fmt.Fprintf(w, "method=%s analyzed=%d/%d extracts", resp.Method, resp.AnalyzedExtracts, resp.TotalExtracts)
+	if resp.UsedWholePage {
 		fmt.Fprintf(w, " (page template problem: entire page used)")
 	}
-	if m == tableseg.CSP {
-		fmt.Fprintf(w, " csp=%s", seg.CSPStatus)
+	if resp.Method == tableseg.CSP.String() {
+		fmt.Fprintf(w, " csp=%s", resp.CSPStatus)
 	}
 	fmt.Fprintln(w)
-	for _, rec := range seg.Records {
-		fmt.Fprintf(w, "record %d (detail page %d):\n", rec.Index+1, rec.Index+1)
-		for i, ex := range rec.Extracts {
+	for _, rec := range resp.Records {
+		fmt.Fprintf(w, "record %d (detail page %d):\n", rec.Record, rec.Record)
+		for i, text := range rec.Extracts {
 			col := ""
-			if rec.Columns[i] >= 0 {
+			if i < len(rec.Columns) && rec.Columns[i] >= 0 {
 				col = fmt.Sprintf("  [L%d]", rec.Columns[i]+1)
 			}
-			fmt.Fprintf(w, "  %s%s\n", ex.Text(), col)
+			fmt.Fprintf(w, "  %s%s\n", text, col)
 		}
 	}
 	if columns {
 		fmt.Fprintln(w, "\nreconstructed table:")
-		if len(seg.ColumnLabels) > 0 {
-			fmt.Fprintf(w, "     | %s\n", strings.Join(seg.ColumnLabels, " | "))
+		if len(resp.ColumnLabels) > 0 {
+			fmt.Fprintf(w, "     | %s\n", strings.Join(resp.ColumnLabels, " | "))
 		}
-		for i, row := range tableseg.ReconstructTable(seg) {
+		for i, row := range resp.Table {
 			fmt.Fprintf(w, "  %2d | %s\n", i+1, strings.Join(row, " | "))
 		}
 	}
+}
+
+// writeCSV emits the reconstructed table as CSV, exactly as
+// tableseg.WriteCSV does for a Segmentation: a header from the column
+// labels (with L<n> fallbacks), every row padded to the wider of the
+// header and the widest row.
+func writeCSV(w io.Writer, resp *apiv1.SegmentResponse) error {
+	cw := csv.NewWriter(w)
+	if len(resp.ColumnLabels) > 0 {
+		header := make([]string, len(resp.ColumnLabels))
+		for i, l := range resp.ColumnLabels {
+			if l == "" {
+				l = "L" + strconv.Itoa(i+1)
+			}
+			header[i] = l
+		}
+		if err := cw.Write(header); err != nil {
+			return err
+		}
+	}
+	width := len(resp.ColumnLabels)
+	for _, row := range resp.Table {
+		if len(row) > width {
+			width = len(row)
+		}
+	}
+	for _, row := range resp.Table {
+		padded := make([]string, width)
+		copy(padded, row)
+		if err := cw.Write(padded); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 // jsonRecord is the JSON shape of one segmented record.
@@ -250,7 +281,8 @@ type jsonRecord struct {
 	Columns  []int    `json:"columns,omitempty"`
 }
 
-// jsonOutput is the JSON shape of a segmentation.
+// jsonOutput is the JSON shape of a segmentation: the CLI's own field
+// order, which predates the wire format and is kept byte-stable.
 type jsonOutput struct {
 	Method        string       `json:"method"`
 	Analyzed      int          `json:"analyzedExtracts"`
@@ -262,34 +294,26 @@ type jsonOutput struct {
 	Table         [][]string   `json:"table"`
 }
 
-// buildJSONOutput assembles the JSON shape shared by the single-site
+// jsonOutputFrom assembles the JSON shape shared by the single-site
 // (indented) and -batch (JSONL) modes.
-func buildJSONOutput(seg *tableseg.Segmentation, m tableseg.Method) jsonOutput {
+func jsonOutputFrom(resp *apiv1.SegmentResponse) jsonOutput {
 	out := jsonOutput{
-		Method:        m.String(),
-		Analyzed:      seg.Analyzed,
-		Total:         seg.TotalExtracts,
-		UsedWholePage: seg.UsedWholePage,
-		ColumnLabels:  seg.ColumnLabels,
-		Table:         tableseg.ReconstructTable(seg),
+		Method:        resp.Method,
+		Analyzed:      resp.AnalyzedExtracts,
+		Total:         resp.TotalExtracts,
+		UsedWholePage: resp.UsedWholePage,
+		CSPStatus:     resp.CSPStatus,
+		ColumnLabels:  resp.ColumnLabels,
+		Table:         resp.Table,
 	}
-	if m != tableseg.Probabilistic {
-		out.CSPStatus = seg.CSPStatus.String()
-	}
-	for _, rec := range seg.Records {
+	for _, rec := range resp.Records {
 		out.Records = append(out.Records, jsonRecord{
-			Record:   rec.Index + 1,
-			Extracts: rec.Texts(),
+			Record:   rec.Record,
+			Extracts: rec.Extracts,
 			Columns:  rec.Columns,
 		})
 	}
 	return out
-}
-
-func emitJSON(w io.Writer, seg *tableseg.Segmentation, m tableseg.Method) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(buildJSONOutput(seg, m))
 }
 
 // printStats reports the engine's per-stage instrumentation and cache

@@ -2,12 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"time"
 
 	"tableseg"
@@ -15,139 +11,32 @@ import (
 	"tableseg/internal/server/client"
 )
 
-// remoteJob bundles one -remote invocation's inputs and output mode.
-type remoteJob struct {
-	base    string
-	in      tableseg.Input
-	method  string
-	timeout time.Duration
-	jsonOut bool
-	csvOut  bool
-	columns bool
-	stats   bool
-}
-
-// runRemote performs the segmentation through a tablesegd daemon and
-// renders the same outputs as the in-process path: -json output is
-// byte-identical to a local run over the same input.
-func runRemote(ctx context.Context, job remoteJob, stdout, stderr io.Writer) int {
+// segmentRemote performs the segmentation through a tablesegd daemon
+// and returns its wire response, which the caller renders exactly like
+// an in-process result. With stats set it reports the server-measured
+// timings on stderr.
+func segmentRemote(ctx context.Context, base string, in tableseg.Input, method string, timeout time.Duration, stats bool, stderr io.Writer) (*apiv1.SegmentResponse, error) {
 	req := &apiv1.SegmentRequest{
-		Method:        job.method,
-		Target:        job.in.Target,
-		TimeoutMillis: job.timeout.Milliseconds(),
-		WantStats:     job.stats,
+		Method:        method,
+		Target:        in.Target,
+		TimeoutMillis: timeout.Milliseconds(),
+		WantStats:     stats,
 	}
-	for _, p := range job.in.ListPages {
+	for _, p := range in.ListPages {
 		req.ListPages = append(req.ListPages, apiv1.Page{Name: p.Name, HTML: p.HTML})
 	}
-	for _, p := range job.in.DetailPages {
+	for _, p := range in.DetailPages {
 		req.DetailPages = append(req.DetailPages, apiv1.Page{Name: p.Name, HTML: p.HTML})
 	}
 
-	resp, err := client.New(job.base, nil).Segment(ctx, req)
+	resp, err := client.New(base, nil).Segment(ctx, req)
 	if err != nil {
-		fmt.Fprintln(stderr, "tableseg:", err)
-		return 1
+		return nil, err
 	}
-	if job.stats {
+	if stats {
 		printRemoteStats(stderr, resp.Stats)
 	}
-
-	if job.jsonOut {
-		out := jsonOutput{
-			Method:        resp.Method,
-			Analyzed:      resp.AnalyzedExtracts,
-			Total:         resp.TotalExtracts,
-			UsedWholePage: resp.UsedWholePage,
-			CSPStatus:     resp.CSPStatus,
-			ColumnLabels:  resp.ColumnLabels,
-			Table:         resp.Table,
-		}
-		for _, rec := range resp.Records {
-			out.Records = append(out.Records, jsonRecord{
-				Record:   rec.Record,
-				Extracts: rec.Extracts,
-				Columns:  rec.Columns,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(stderr, "tableseg:", err)
-			return 1
-		}
-		return 0
-	}
-	if job.csvOut {
-		if err := writeRemoteCSV(stdout, resp); err != nil {
-			fmt.Fprintln(stderr, "tableseg:", err)
-			return 1
-		}
-		return 0
-	}
-
-	fmt.Fprintf(stdout, "method=%s analyzed=%d/%d extracts", resp.Method, resp.AnalyzedExtracts, resp.TotalExtracts)
-	if resp.UsedWholePage {
-		fmt.Fprintf(stdout, " (page template problem: entire page used)")
-	}
-	if job.method == "csp" {
-		fmt.Fprintf(stdout, " csp=%s", resp.CSPStatus)
-	}
-	fmt.Fprintln(stdout)
-	for _, rec := range resp.Records {
-		fmt.Fprintf(stdout, "record %d (detail page %d):\n", rec.Record, rec.Record)
-		for i, text := range rec.Extracts {
-			col := ""
-			if i < len(rec.Columns) && rec.Columns[i] >= 0 {
-				col = fmt.Sprintf("  [L%d]", rec.Columns[i]+1)
-			}
-			fmt.Fprintf(stdout, "  %s%s\n", text, col)
-		}
-	}
-	if job.columns {
-		fmt.Fprintln(stdout, "\nreconstructed table:")
-		if len(resp.ColumnLabels) > 0 {
-			fmt.Fprintf(stdout, "     | %s\n", strings.Join(resp.ColumnLabels, " | "))
-		}
-		for i, row := range resp.Table {
-			fmt.Fprintf(stdout, "  %2d | %s\n", i+1, strings.Join(row, " | "))
-		}
-	}
-	return 0
-}
-
-// writeRemoteCSV mirrors tableseg.WriteCSV over the wire response:
-// header from the column labels (with L<n> fallbacks), every row
-// padded to the wider of the header and the widest row.
-func writeRemoteCSV(w io.Writer, resp *apiv1.SegmentResponse) error {
-	cw := csv.NewWriter(w)
-	if len(resp.ColumnLabels) > 0 {
-		header := make([]string, len(resp.ColumnLabels))
-		for i, l := range resp.ColumnLabels {
-			if l == "" {
-				l = "L" + strconv.Itoa(i+1) // same fallback as tableseg.WriteCSV
-			}
-			header[i] = l
-		}
-		if err := cw.Write(header); err != nil {
-			return err
-		}
-	}
-	width := len(resp.ColumnLabels)
-	for _, row := range resp.Table {
-		if len(row) > width {
-			width = len(row)
-		}
-	}
-	for _, row := range resp.Table {
-		padded := make([]string, width)
-		copy(padded, row)
-		if err := cw.Write(padded); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return resp, nil
 }
 
 // printRemoteStats reports the server-measured per-stage timings.

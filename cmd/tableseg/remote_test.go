@@ -20,39 +20,42 @@ func startDaemon(t *testing.T) string {
 	return ts.URL
 }
 
-// TestRemoteJSONMatchesLocal is the -remote contract: the daemon path
-// emits byte-identical -json output to the in-process path.
+// TestRemoteJSONMatchesLocal is the -remote contract: for every method
+// the daemon path emits byte-identical -json output to the in-process
+// path.
 func TestRemoteJSONMatchesLocal(t *testing.T) {
-	url := startDaemon(t)
-	for _, method := range []string{"prob", "csp"} {
-		base := append(writeTestSite(t), "-method", method, "-json")
-		codeL, localOut, stderrL := runCLI(t, base...)
-		if codeL != 0 {
-			t.Fatalf("local %s: exit %d: %s", method, codeL, stderrL)
-		}
-		codeR, remoteOut, stderrR := runCLI(t, append(base, "-remote", url)...)
-		if codeR != 0 {
-			t.Fatalf("remote %s: exit %d: %s", method, codeR, stderrR)
-		}
-		if localOut != remoteOut {
-			t.Errorf("%s: -remote -json differs from local:\nlocal:  %s\nremote: %s", method, localOut, remoteOut)
-		}
-	}
+	checkRemoteMatchesLocal(t, "-json")
 }
 
 // TestRemoteCSVAndTextMatchLocal extends the contract to the CSV and
-// human-readable renderings.
+// human-readable renderings. With the JSON test it covers every method
+// and output mode, which guards the CLI's single renderer.
 func TestRemoteCSVAndTextMatchLocal(t *testing.T) {
+	checkRemoteMatchesLocal(t, "-csv", "-columns", "")
+}
+
+// checkRemoteMatchesLocal runs each method in each output mode ("" is
+// plain text) locally and against a daemon and compares stdout.
+func checkRemoteMatchesLocal(t *testing.T, modes ...string) {
+	t.Helper()
 	url := startDaemon(t)
-	for _, extra := range [][]string{{"-csv"}, {"-columns"}, {}} {
-		base := append(writeTestSite(t), extra...)
-		codeL, localOut, _ := runCLI(t, base...)
-		codeR, remoteOut, stderrR := runCLI(t, append(base, "-remote", url)...)
-		if codeL != 0 || codeR != 0 {
-			t.Fatalf("%v: exits local=%d remote=%d: %s", extra, codeL, codeR, stderrR)
-		}
-		if localOut != remoteOut {
-			t.Errorf("%v: remote output differs from local:\nlocal:  %q\nremote: %q", extra, localOut, remoteOut)
+	for _, method := range []string{"prob", "csp", "combined"} {
+		for _, mode := range modes {
+			args := append(writeTestSite(t), "-method", method)
+			if mode != "" {
+				args = append(args, mode)
+			}
+			codeL, localOut, stderrL := runCLI(t, args...)
+			if codeL != 0 {
+				t.Fatalf("local %s %s: exit %d: %s", method, mode, codeL, stderrL)
+			}
+			codeR, remoteOut, stderrR := runCLI(t, append(args, "-remote", url)...)
+			if codeR != 0 {
+				t.Fatalf("remote %s %s: exit %d: %s", method, mode, codeR, stderrR)
+			}
+			if localOut != remoteOut {
+				t.Errorf("%s %q: remote output differs from local:\nlocal:  %q\nremote: %q", method, mode, localOut, remoteOut)
+			}
 		}
 	}
 }

@@ -77,15 +77,9 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tablesegd: unknown method %q (want prob, csp or combined)\n", *method)
 		return 2
 	}
-	opts, err := tableseg.NewOptions(tableseg.WithMethod(m))
-	if err != nil {
-		fmt.Fprintln(stderr, "tablesegd:", err)
-		return 2
-	}
-
 	srv, err := server.New(server.Config{
 		Engine: tableseg.EngineConfig{
-			Options:          opts,
+			Options:          tableseg.DefaultOptions(m),
 			Concurrency:      *workers,
 			CacheDir:         *cacheDir,
 			CacheMemoryBytes: *cacheMem,

@@ -16,17 +16,17 @@ import (
 //	eng, err := tableseg.NewEngine(tableseg.EngineConfig{
 //	    Options: tableseg.DefaultOptions(tableseg.Probabilistic),
 //	})
-//	for _, res := range eng.SegmentAll(ctx, inputs) {
+//	for res := range eng.Stream(ctx, tasks) { // tasks: a <-chan Task
 //	    if res.Err != nil { ... }
-//	    use(res.Seg, res.Stats)
+//	    use(res.Index, res.Seg, res.Stats)
 //	}
 //
-// Three submission surfaces share the pool and caches: SegmentAll /
-// RunTasks for fixed batches, Stream for an order-independent,
-// backpressured pipe of tasks, and Submit/Close for long-running
-// services that admit independent one-off tasks (tablesegd is built on
-// it). All of them produce results byte-identical to serial Segment
-// calls.
+// Two submission surfaces share the pool and caches: Stream for a
+// batch — an order-independent, backpressured pipe of tasks whose
+// results carry their submission Index — and Submit/Close for
+// long-running services that admit independent one-off tasks
+// (tablesegd is built on it). Both produce results byte-identical to
+// serial Segment calls.
 type Engine = engine.Engine
 
 // EngineConfig configures NewEngine; see engine.Config.

@@ -53,7 +53,7 @@ func TestTypedErrorsFromAPI(t *testing.T) {
 		}, ErrNoDetailEvidence},
 	}
 	for _, tc := range cases {
-		_, err := SegmentCSP(tc.in)
+		_, err := Segment(tc.in, DefaultOptions(CSP))
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}

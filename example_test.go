@@ -45,8 +45,8 @@ func exampleInput() tableseg.Input {
 }
 
 // The probabilistic method segments the list page and labels columns.
-func ExampleSegmentProbabilistic() {
-	seg, err := tableseg.SegmentProbabilistic(exampleInput())
+func ExampleSegment_probabilistic() {
+	seg, err := tableseg.Segment(exampleInput(), tableseg.DefaultOptions(tableseg.Probabilistic))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,8 +60,8 @@ func ExampleSegmentProbabilistic() {
 }
 
 // The CSP method solves the same instance with hard constraints.
-func ExampleSegmentCSP() {
-	seg, err := tableseg.SegmentCSP(exampleInput())
+func ExampleSegment_csp() {
+	seg, err := tableseg.Segment(exampleInput(), tableseg.DefaultOptions(tableseg.CSP))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func ExampleSegmentCSP() {
 // ReconstructTable rebuilds the relational view; WriteCSV exports it
 // with the column names mined from the detail-page captions.
 func ExampleWriteCSV() {
-	seg, err := tableseg.SegmentProbabilistic(exampleInput())
+	seg, err := tableseg.Segment(exampleInput(), tableseg.DefaultOptions(tableseg.Probabilistic))
 	if err != nil {
 		log.Fatal(err)
 	}

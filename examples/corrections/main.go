@@ -34,14 +34,14 @@ func main() {
 		in.DetailPages = append(in.DetailPages, tableseg.Page{HTML: d})
 	}
 
-	cspSeg, err := tableseg.SegmentCSP(in)
+	cspSeg, err := tableseg.Segment(in, tableseg.DefaultOptions(tableseg.CSP))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("CSP status: %s (relaxed=%v)\n", cspSeg.CSPStatus, cspSeg.Relaxed)
 	fmt.Printf("CSP segmented %d of %d records\n\n", len(cspSeg.Records), len(lp.Truth))
 
-	probSeg, err := tableseg.SegmentProbabilistic(in)
+	probSeg, err := tableseg.Segment(in, tableseg.DefaultOptions(tableseg.Probabilistic))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 		Fetcher: tableseg.MapFetcher(site.SiteMap()),
 		Options: tableseg.DefaultOptions(tableseg.Probabilistic),
 	}
-	table, results, err := h.HarvestAll("/list1.html")
+	table, results, err := h.HarvestAll(context.Background(), "/list1.html")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func main() {
 	for _, d := range site.Lists[0].Details {
 		in.DetailPages = append(in.DetailPages, tableseg.Page{HTML: d})
 	}
-	seg, err := tableseg.SegmentProbabilistic(in)
+	seg, err := tableseg.Segment(in, tableseg.DefaultOptions(tableseg.Probabilistic))
 	if err != nil {
 		log.Fatal(err)
 	}

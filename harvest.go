@@ -1,8 +1,6 @@
 package tableseg
 
 import (
-	"context"
-
 	"tableseg/internal/crawl"
 	"tableseg/internal/relation"
 )
@@ -13,8 +11,8 @@ import (
 // from advertisements, and segments the records.
 //
 //	h := &tableseg.Harvester{Fetcher: tableseg.HTTPFetcher{}}
-//	res, err := h.HarvestFrom("https://example.test/results?page=1")
-//	table, _, err := h.HarvestAll("https://example.test/results?page=1")
+//	res, err := h.HarvestFrom(ctx, "https://example.test/results?page=1")
+//	table, _, err := h.HarvestAll(ctx, "https://example.test/results?page=1")
 
 // Fetcher retrieves a page body by URL.
 type Fetcher = crawl.Fetcher
@@ -28,66 +26,13 @@ type DirFetcher = crawl.DirFetcher
 // HTTPFetcher fetches pages over HTTP.
 type HTTPFetcher = crawl.HTTPFetcher
 
-// Harvester walks a site and extracts its records. The no-suffix
-// methods are conveniences over the Context variants; like the rest of
-// the public API, only this root package may mint a background context
-// (internal packages are required by tableseglint to thread a caller's
-// context).
-type Harvester struct {
-	Fetcher Fetcher
-	// Options configures the segmentation pipeline; zero value selects
-	// the probabilistic defaults.
-	Options Options
-	// ClassifyThreshold tunes detail-page clustering (0 = default).
-	ClassifyThreshold float64
-	// Concurrency bounds parallel fetches of the linked pages (0 = 8).
-	// Fetch order does not affect results: pages keep link order.
-	Concurrency int
-}
-
-func (h *Harvester) crawler() *crawl.Harvester {
-	return &crawl.Harvester{
-		Fetcher:           h.Fetcher,
-		Options:           h.Options,
-		ClassifyThreshold: h.ClassifyThreshold,
-		Concurrency:       h.Concurrency,
-	}
-}
-
-// Harvest fetches the sampled list pages, follows every link from the
-// target page, classifies the detail set, and segments the target.
-func (h *Harvester) Harvest(listURLs []string, target int) (*HarvestResult, error) {
-	return h.HarvestContext(context.Background(), listURLs, target)
-}
-
-// HarvestContext is Harvest under a context: cancellation aborts the
-// segmentation solve and surfaces as ctx.Err().
-func (h *Harvester) HarvestContext(ctx context.Context, listURLs []string, target int) (*HarvestResult, error) {
-	return h.crawler().Harvest(ctx, listURLs, target)
-}
-
-// HarvestFrom runs the complete §3 vision from a single entry URL: it
-// discovers the sample list pages by following Next links, then
-// harvests the entry page.
-func (h *Harvester) HarvestFrom(entryURL string) (*HarvestResult, error) {
-	return h.HarvestFromContext(context.Background(), entryURL)
-}
-
-// HarvestFromContext is HarvestFrom under a context.
-func (h *Harvester) HarvestFromContext(ctx context.Context, entryURL string) (*HarvestResult, error) {
-	return h.crawler().HarvestFrom(ctx, entryURL)
-}
-
-// HarvestAll discovers the list pages from an entry URL, harvests every
-// one, and merges the per-page segmentations into the site's relation.
-func (h *Harvester) HarvestAll(entryURL string) (*RelationTable, []*HarvestResult, error) {
-	return h.HarvestAllContext(context.Background(), entryURL)
-}
-
-// HarvestAllContext is HarvestAll under a context.
-func (h *Harvester) HarvestAllContext(ctx context.Context, entryURL string) (*RelationTable, []*HarvestResult, error) {
-	return h.crawler().HarvestAll(ctx, entryURL)
-}
+// Harvester walks a site and extracts its records. Its fields are the
+// Fetcher, the pipeline Options (zero value: the probabilistic
+// defaults), ClassifyThreshold for detail-page clustering (0 =
+// default) and Concurrency for parallel fetches (0 = 8). Its methods
+// Harvest, HarvestFrom and HarvestAll take a context: cancellation
+// aborts the segmentation solve and surfaces as ctx.Err().
+type Harvester = crawl.Harvester
 
 // HarvestResult is the outcome of harvesting one list page.
 type HarvestResult = crawl.Result

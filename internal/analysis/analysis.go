@@ -389,14 +389,9 @@ func BuildFacts(pkgs []*Package) *callgraph.Graph {
 // Run executes every analyzer in the suite over pkg and returns the
 // surviving (non-suppressed) diagnostics sorted by position. The fact
 // base is built from pkg alone; multi-package callers should
-// BuildFacts over the whole module and use RunWithFacts.
+// BuildFacts over the whole module and use RunTimed.
 func Run(pkg *Package, cfg Config, analyzers []*Analyzer) []Diagnostic {
-	return RunWithFacts(pkg, cfg, analyzers, BuildFacts([]*Package{pkg}))
-}
-
-// RunWithFacts is Run with a caller-supplied fact base.
-func RunWithFacts(pkg *Package, cfg Config, analyzers []*Analyzer, facts *callgraph.Graph) []Diagnostic {
-	diags, _ := RunTimed(pkg, cfg, analyzers, facts)
+	diags, _ := RunTimed(pkg, cfg, analyzers, BuildFacts([]*Package{pkg}))
 	return diags
 }
 
@@ -406,8 +401,8 @@ type AnalyzerTiming struct {
 	Elapsed  time.Duration
 }
 
-// RunTimed is RunWithFacts, additionally reporting per-analyzer wall
-// time in suite order.
+// RunTimed is Run with a caller-supplied fact base, additionally
+// reporting per-analyzer wall time in suite order.
 func RunTimed(pkg *Package, cfg Config, analyzers []*Analyzer, facts *callgraph.Graph) ([]Diagnostic, []AnalyzerTiming) {
 	var out []Diagnostic
 	timings := make([]AnalyzerTiming, 0, len(analyzers))

@@ -46,9 +46,6 @@ const (
 	KindSolver
 )
 
-// KindAny is every classification at once.
-const KindAny = KindChan | KindSync | KindLock | KindSleep | KindSolver
-
 // KindCancel is the subset of kinds that represent indefinite,
 // cancellation-relevant parking: everything except taking a lock (a
 // short critical section acquires locks routinely and needs no

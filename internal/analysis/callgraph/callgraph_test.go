@@ -272,8 +272,8 @@ func sleeper(ctx context.Context) {
 	check("severed", CtxSevered)
 	check("threaded") // derivation through WithTimeout threads cleanly
 	check("sleeper", CtxSleep)
-	if n := nodeNamed(t, g, "blockWithCtx"); !n.Summary.CtxThreaded() {
-		t.Fatalf("blockWithCtx: CtxThreaded = false, issues %+v", n.Summary.CtxIssues)
+	if n := nodeNamed(t, g, "blockWithCtx"); !n.Summary.HasCtx || len(n.Summary.CtxIssues) != 0 {
+		t.Fatalf("blockWithCtx: HasCtx = %v, issues %+v; want a cleanly threaded context", n.Summary.HasCtx, n.Summary.CtxIssues)
 	}
 }
 

@@ -65,10 +65,6 @@ type Summary struct {
 	SetsStatus bool
 }
 
-// CtxThreaded reports that the function has a context parameter and
-// propagates it into every cancellation-relevant blocking call.
-func (s *Summary) CtxThreaded() bool { return s.HasCtx && len(s.CtxIssues) == 0 }
-
 // CtxIssueKind classifies one failure to thread a context.
 type CtxIssueKind uint8
 

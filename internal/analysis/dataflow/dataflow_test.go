@@ -336,64 +336,6 @@ func f(in []int) Out {
 	}
 }
 
-func TestLivenessBasic(t *testing.T) {
-	fd, info := compile(t, `package t
-func g(int)
-func f(c bool) {
-	x := 1
-	y := 2
-	if c {
-		g(x)
-	}
-	g(y)
-}`, "f")
-	g := cfg.New(fd.Body)
-	l := NewLiveness(fd.Body, g, info)
-
-	// Find the objects.
-	var xObj, yObj types.Object
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := info.Defs[id]; obj != nil {
-				switch id.Name {
-				case "x":
-					xObj = obj
-				case "y":
-					yObj = obj
-				}
-			}
-		}
-		return true
-	})
-	if xObj == nil || yObj == nil {
-		t.Fatal("objects not resolved")
-	}
-	// x and y are defined before the branch; at entry of the if-body
-	// block holding g(x), x is live (used here) and y is live (used
-	// after the branch rejoins).
-	var found bool
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			if es, ok := n.(*ast.ExprStmt); ok {
-				if call, ok := es.X.(*ast.CallExpr); ok {
-					if arg, ok := call.Args[0].(*ast.Ident); ok && arg.Name == "x" {
-						found = true
-						if !l.LiveAtEntry(b, xObj) {
-							t.Error("x not live at entry of block containing g(x)")
-						}
-						if !l.LiveAtEntry(b, yObj) {
-							t.Error("y not live at entry of block containing g(x)")
-						}
-					}
-				}
-			}
-		}
-	}
-	if !found {
-		t.Fatal("g(x) call site not located in graph")
-	}
-}
-
 func TestCarriesRefs(t *testing.T) {
 	f64 := types.Typ[types.Float64]
 	scalarStruct := types.NewStruct([]*types.Var{
@@ -421,40 +363,5 @@ func TestCarriesRefs(t *testing.T) {
 		if got := CarriesRefs(c.typ); got != c.want {
 			t.Errorf("CarriesRefs(%s) = %v, want %v", c.name, got, c.want)
 		}
-	}
-}
-
-func TestSolverBackwardLoop(t *testing.T) {
-	fd, info := compile(t, `package t
-func g(int)
-func f(n int) {
-	x := 0
-	for i := 0; i < n; i++ {
-		g(x)
-		x = i
-	}
-}`, "f")
-	g := cfg.New(fd.Body)
-	l := NewLiveness(fd.Body, g, info)
-
-	var xObj types.Object
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == "x" {
-			if obj := info.Defs[id]; obj != nil {
-				xObj = obj
-			}
-		}
-		return true
-	})
-	// x is used at g(x) inside the loop, so it must be live on the back
-	// edge: at entry of the loop-condition block.
-	live := false
-	for _, b := range g.Blocks {
-		if l.LiveAtEntry(b, xObj) {
-			live = true
-		}
-	}
-	if !live {
-		t.Fatal("x not live anywhere despite g(x) use inside loop")
 	}
 }

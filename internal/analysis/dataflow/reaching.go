@@ -221,7 +221,6 @@ func (c *Chains) defsInNode(n ast.Node) []*Def {
 func (c *Chains) solve() {
 	nd := len(c.Defs)
 	res := Solve(c.Graph, Problem[bitset]{
-		Dir: Forward,
 		Boundary: func() bitset {
 			// Every DefEntry reaches function entry.
 			f := newBitset(nd)

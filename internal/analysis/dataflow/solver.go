@@ -1,11 +1,10 @@
-// Package dataflow implements a generic forward/backward worklist
-// solver over the control-flow graphs of internal/analysis/cfg, plus
-// the three standard instantiations the tableseglint analyzers are
-// built from: reaching definitions with use-def/def-use chains
-// (rngflow's RNG provenance), a configurable taint-propagation lattice
-// with per-source provenance masks (probflow's probability tracking,
-// aliasflow's input-aliasing tracking), and live variables (the
-// backward example that keeps the solver honest in both directions).
+// Package dataflow implements a generic forward worklist solver over
+// the control-flow graphs of internal/analysis/cfg, plus the two
+// standard instantiations the tableseglint analyzers are built from:
+// reaching definitions with use-def/def-use chains (rngflow's RNG
+// provenance) and a configurable taint-propagation lattice with
+// per-source provenance masks (probflow's probability tracking,
+// aliasflow's input-aliasing tracking).
 //
 // Everything here is intra-procedural and stdlib-only (go/ast,
 // go/types), matching the rest of the suite. Function literals are
@@ -22,25 +21,12 @@ import (
 	"tableseg/internal/analysis/cfg"
 )
 
-// Direction selects which way facts propagate through the graph.
-type Direction int
-
-const (
-	// Forward propagates facts from Entry along successor edges.
-	Forward Direction = iota
-	// Backward propagates facts from Exit along predecessor edges.
-	Backward
-)
-
 // Problem describes one monotone dataflow problem with facts of type F.
 // Transfer and Merge must be monotone over the fact lattice and Merge
 // must be commutative; the worklist iteration then terminates at the
 // unique least fixpoint for lattices of finite height.
 type Problem[F any] struct {
-	// Dir is the propagation direction.
-	Dir Direction
-	// Boundary returns the fact entering the boundary block (Entry for
-	// Forward, Exit for Backward).
+	// Boundary returns the fact entering the graph's Entry block.
 	Boundary func() F
 	// Init returns the initial ("bottom") fact for every other block.
 	Init func() F
@@ -55,9 +41,7 @@ type Problem[F any] struct {
 }
 
 // Result holds the per-block fixpoint facts, indexed by Block.Index.
-// In[b] is the fact at block entry and Out[b] at block exit, in the
-// problem's direction (for Backward problems In is the fact after the
-// block's last node, Out the fact before its first).
+// In[b] is the fact at block entry and Out[b] at block exit.
 type Result[F any] struct {
 	In, Out []F
 }
@@ -70,22 +54,9 @@ func Solve[F any](g *cfg.Graph, p Problem[F]) Result[F] {
 	n := len(g.Blocks)
 	res := Result[F]{In: make([]F, n), Out: make([]F, n)}
 
-	// Per direction: the blocks facts flow in from, and the blocks a
-	// changed fact must be pushed to.
 	preds := predecessors(g)
-	succs := make([][]*cfg.Block, n)
 	for _, b := range g.Blocks {
-		succs[b.Index] = b.Succs
-	}
-	inEdges, outEdges := preds, succs
-	boundary := g.Entry
-	if p.Dir == Backward {
-		inEdges, outEdges = succs, preds
-		boundary = g.Exit
-	}
-
-	for _, b := range g.Blocks {
-		if b == boundary {
+		if b == g.Entry {
 			res.In[b.Index] = p.Boundary()
 		} else {
 			res.In[b.Index] = p.Init()
@@ -106,9 +77,9 @@ func Solve[F any](g *cfg.Graph, p Problem[F]) Result[F] {
 		queued[b.Index] = false
 
 		in := res.In[b.Index]
-		if b != boundary {
+		if b != g.Entry {
 			in = p.Init()
-			for _, e := range inEdges[b.Index] {
+			for _, e := range preds[b.Index] {
 				in = p.Merge(in, res.Out[e.Index])
 			}
 			res.In[b.Index] = in
@@ -119,7 +90,7 @@ func Solve[F any](g *cfg.Graph, p Problem[F]) Result[F] {
 		}
 		res.Out[b.Index] = out
 		// Requeue everything this block feeds.
-		for _, s := range outEdges[b.Index] {
+		for _, s := range b.Succs {
 			if !queued[s.Index] {
 				queue = append(queue, s)
 				queued[s.Index] = true

@@ -28,7 +28,9 @@ type TaintConfig struct {
 	ExprSource func(e ast.Expr) Mask
 
 	// ResultTaint returns the taint of a call's results by summary —
-	// e.g. emitType(...) yields a probability. Optional.
+	// e.g. emitType(...) yields a probability. Optional. Beyond it,
+	// calls are a clean boundary: argument taint does not reach a
+	// call's results (builtins and conversions aside).
 	ResultTaint func(call *ast.CallExpr) Mask
 
 	// SanitizerCall reports whether a call is a sanitizer: its result
@@ -38,11 +40,6 @@ type TaintConfig struct {
 	// p on both paths — conservative toward fewer false positives).
 	// Optional.
 	SanitizerCall func(call *ast.CallExpr) bool
-
-	// PropagateCalls, when set, taints a non-sanitizer call's results
-	// with the union of its argument masks. When unset, calls are a
-	// clean boundary (summaries via ResultTaint only).
-	PropagateCalls bool
 
 	// PropagateBinary, when set, taints arithmetic results with the
 	// union of the operand masks. Comparisons never carry taint.
@@ -93,7 +90,6 @@ func NewTaint(body *ast.BlockStmt, g *cfg.Graph, tc TaintConfig) *Taint {
 		return true
 	})
 	t.res = Solve(g, Problem[taintFact]{
-		Dir: Forward,
 		Boundary: func() taintFact {
 			f := taintFact{}
 			for obj, m := range tc.Entry {
@@ -223,11 +219,6 @@ func (t *Taint) exprMask(fact taintFact, e ast.Expr) Mask {
 					}
 					return src | m
 				}
-			}
-		}
-		if t.cfg.PropagateCalls {
-			for _, a := range e.Args {
-				m |= t.exprMask(fact, a)
 			}
 		}
 		return src | m

@@ -20,6 +20,7 @@ func TestOptionsValidate(t *testing.T) {
 		mutate func(*Options)
 	}{
 		{"unknown method", func(o *Options) { o.Method = 99 }},
+		{"unknown solver", func(o *Options) { o.Solver = "no-such-solver" }},
 		{"negative MinSlotQuality", func(o *Options) { o.MinSlotQuality = -0.1 }},
 		{"MinSlotQuality above 1", func(o *Options) { o.MinSlotQuality = 1.5 }},
 		{"WSAT noise above 1", func(o *Options) { o.CSPParams.WSAT.Noise = 1.5 }},

@@ -149,11 +149,14 @@ func Links(pageURL, html string) []string {
 	return out
 }
 
-// Harvester walks a site and extracts its records.
+// Harvester walks a site and extracts its records. The root package
+// re-exports it as tableseg.Harvester.
 type Harvester struct {
 	Fetcher Fetcher
-	// Options configures the segmentation pipeline; zero value selects
-	// the probabilistic defaults.
+	// Options configures the segmentation pipeline. The zero value
+	// selects DefaultOptions(Probabilistic); a non-zero value with
+	// MinSlotQuality 0 gets its method's default slot-quality
+	// threshold.
 	Options core.Options
 	// ClassifyThreshold tunes detail-page clustering (0 = default).
 	ClassifyThreshold float64
@@ -189,8 +192,8 @@ func (h *Harvester) Harvest(ctx context.Context, listURLs []string, target int) 
 		return nil, fmt.Errorf("crawl: target %d out of range", target)
 	}
 	opts := h.Options
-	if opts == (core.Options{}) { // zero Options: use method defaults
-		opts = core.DefaultOptions(opts.Method)
+	if opts == (core.Options{}) {
+		opts = core.DefaultOptions(core.Probabilistic)
 	} else if opts.MinSlotQuality == 0 {
 		opts.MinSlotQuality = core.DefaultOptions(opts.Method).MinSlotQuality
 	}

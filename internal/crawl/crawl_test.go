@@ -186,3 +186,24 @@ func TestHarvestSkipsBrokenLinks(t *testing.T) {
 		t.Errorf("harvest with broken ad link: %v", counts)
 	}
 }
+
+// TestHarvestZeroOptionsIsProbabilistic pins the documented zero value:
+// a Harvester without Options runs the probabilistic defaults, so the
+// result carries mined column labels.
+func TestHarvestZeroOptionsIsProbabilistic(t *testing.T) {
+	site, err := sitegen.GenerateBySlug("butler", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &Harvester{Fetcher: MapFetcher(site.SiteMap())}
+	res, err := h.Harvest(context.Background(), []string{"/list1.html", "/list2.html"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Segmentation.Method != core.Probabilistic {
+		t.Errorf("zero Options ran %v, want probabilistic", res.Segmentation.Method)
+	}
+	if len(res.Segmentation.ColumnLabels) == 0 {
+		t.Error("zero Options produced no column labels")
+	}
+}

@@ -598,43 +598,12 @@ func (e *Engine) Submit(ctx context.Context, t Task) (<-chan Result, error) {
 
 // Close stops admitting Submit work and waits for every admitted
 // submission to deliver its result. It is idempotent and does not
-// affect Stream/RunTasks batches, whose lifetimes are bounded by their
-// own task channels and contexts. The caches stay valid after Close.
+// affect Stream batches, whose lifetimes are bounded by their own task
+// channels and contexts. The caches stay valid after Close.
 func (e *Engine) Close() error {
 	e.lifeMu.Lock()
 	e.closed = true
 	e.lifeMu.Unlock()
 	e.inFlight.Wait()
 	return nil
-}
-
-// RunTasks fans a fixed batch out over the pool and returns the results
-// in submission order (results[i] corresponds to tasks[i]).
-func (e *Engine) RunTasks(ctx context.Context, tasks []Task) []Result {
-	in := make(chan Task, len(tasks))
-	for _, t := range tasks {
-		in <- t
-	}
-	close(in)
-	results := make([]Result, len(tasks))
-	for r := range e.Stream(ctx, in) {
-		results[r.Index] = r
-	}
-	return results
-}
-
-// SegmentAll segments a batch of inputs under the engine's configured
-// options, returning results in input order.
-func (e *Engine) SegmentAll(ctx context.Context, inputs []core.Input) []Result {
-	tasks := make([]Task, len(inputs))
-	for i := range inputs {
-		tasks[i] = Task{Input: inputs[i]}
-	}
-	return e.RunTasks(ctx, tasks)
-}
-
-// Segment runs a single input through the engine (worker pool and
-// cache included) and returns its result.
-func (e *Engine) Segment(ctx context.Context, in core.Input) Result {
-	return e.RunTasks(ctx, []Task{{Input: in}})[0]
 }

@@ -60,7 +60,7 @@ func TestEngineMemoryTierBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range eng.RunTasks(context.Background(), tasksFor(inputs)) {
+	for _, r := range runTasks(context.Background(), eng, tasksFor(inputs)) {
 		if r.Err != nil {
 			t.Fatalf("task %d: %v", r.Index, r.Err)
 		}
@@ -72,14 +72,6 @@ func TestEngineMemoryTierBounded(t *testing.T) {
 	if mem.Bytes > 32<<10 {
 		t.Errorf("memory tier holds %d bytes, budget %d", mem.Bytes, 32<<10)
 	}
-}
-
-func tasksFor(inputs []core.Input) []engine.Task {
-	tasks := make([]engine.Task, len(inputs))
-	for i := range inputs {
-		tasks[i] = engine.Task{Input: inputs[i]}
-	}
-	return tasks
 }
 
 // TestEngineWarmDiskCache is the warm-start contract: a second engine
@@ -94,7 +86,7 @@ func TestEngineWarmDiskCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := cold.Segment(context.Background(), in)
+	r1 := runTasks(context.Background(), cold, []engine.Task{{Input: in}})[0]
 	if r1.Err != nil {
 		t.Fatal(r1.Err)
 	}
@@ -106,7 +98,7 @@ func TestEngineWarmDiskCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := warm.Segment(context.Background(), in)
+	r2 := runTasks(context.Background(), warm, []engine.Task{{Input: in}})[0]
 	if r2.Err != nil {
 		t.Fatal(r2.Err)
 	}
@@ -148,13 +140,13 @@ func TestEngineResumeSkipsFinishedTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1 := first.RunTasks(context.Background(), tasksFor(inputs))
+	res1 := runTasks(context.Background(), first, tasksFor(inputs))
 
 	second, err := engine.New(engine.Config{Options: core.DefaultOptions(core.CSP), Concurrency: 2, CacheDir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2 := second.RunTasks(context.Background(), tasksFor(inputs))
+	res2 := runTasks(context.Background(), second, tasksFor(inputs))
 	for i := range res2 {
 		if res1[i].Err != nil || res2[i].Err != nil {
 			t.Fatalf("task %d: errs %v / %v", i, res1[i].Err, res2[i].Err)
@@ -187,7 +179,7 @@ func TestEngineResumeProbabilistic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := first.Segment(context.Background(), in)
+	r1 := runTasks(context.Background(), first, []engine.Task{{Input: in}})[0]
 	if r1.Err != nil {
 		t.Fatal(r1.Err)
 	}
@@ -199,7 +191,7 @@ func TestEngineResumeProbabilistic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := second.Segment(context.Background(), in)
+	r2 := runTasks(context.Background(), second, []engine.Task{{Input: in}})[0]
 	if r2.Err != nil {
 		t.Fatal(r2.Err)
 	}
@@ -228,7 +220,7 @@ func TestEngineResumeReplaysTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := first.Segment(context.Background(), in)
+	r1 := runTasks(context.Background(), first, []engine.Task{{Input: in}})[0]
 	if !errors.Is(r1.Err, core.ErrNoDetailPages) {
 		t.Fatalf("err = %v, want ErrNoDetailPages", r1.Err)
 	}
@@ -237,7 +229,7 @@ func TestEngineResumeReplaysTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := second.Segment(context.Background(), in)
+	r2 := runTasks(context.Background(), second, []engine.Task{{Input: in}})[0]
 	if !r2.Stats.ResultCacheHit {
 		t.Fatal("typed error was not journaled")
 	}
@@ -253,10 +245,10 @@ func TestEngineResumeReplaysTypedErrors(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	good := siteInput(t, "butler", 0)
-	if r := second.Segment(ctx, good); !errors.Is(r.Err, context.Canceled) {
+	if r := runTasks(ctx, second, []engine.Task{{Input: good}})[0]; !errors.Is(r.Err, context.Canceled) {
 		t.Fatalf("cancelled task err = %v", r.Err)
 	}
-	if r := second.Segment(context.Background(), good); r.Err != nil {
+	if r := runTasks(context.Background(), second, []engine.Task{{Input: good}})[0]; r.Err != nil {
 		t.Fatalf("recompute after cancellation: %v", r.Err)
 	} else if r.Stats.ResultCacheHit {
 		t.Error("cancellation was journaled as a result")
@@ -274,7 +266,7 @@ func TestEngineResumeKeysOnOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := first.Segment(context.Background(), in); r.Err != nil {
+	if r := runTasks(context.Background(), first, []engine.Task{{Input: in}})[0]; r.Err != nil {
 		t.Fatal(r.Err)
 	}
 
@@ -282,7 +274,7 @@ func TestEngineResumeKeysOnOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := second.Segment(context.Background(), in)
+	r := runTasks(context.Background(), second, []engine.Task{{Input: in}})[0]
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -311,7 +303,7 @@ func TestEngineCacheStatsConcurrentAccuracy(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		tasks = append(tasks, tasksFor(inputs)...)
 	}
-	results := eng.RunTasks(context.Background(), tasks)
+	results := runTasks(context.Background(), eng, tasks)
 	var taskHits, taskMisses int64
 	for _, r := range results {
 		if r.Err != nil {

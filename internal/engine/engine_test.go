@@ -42,6 +42,30 @@ func siteInput(t testing.TB, slug string, pageIdx int) core.Input {
 	return experiments.BuildInput(sitegen.Generate(p, experiments.DefaultSeed), pageIdx)
 }
 
+// tasksFor wraps each input in a Task under the engine's options.
+func tasksFor(inputs []core.Input) []engine.Task {
+	tasks := make([]engine.Task, len(inputs))
+	for i := range inputs {
+		tasks[i] = engine.Task{Input: inputs[i]}
+	}
+	return tasks
+}
+
+// runTasks runs a fixed batch through one Stream and returns the
+// results in submission order (results[i] corresponds to tasks[i]).
+func runTasks(ctx context.Context, eng *engine.Engine, tasks []engine.Task) []engine.Result {
+	in := make(chan engine.Task, len(tasks))
+	for _, t := range tasks {
+		in <- t
+	}
+	close(in)
+	results := make([]engine.Result, len(tasks))
+	for r := range eng.Stream(ctx, in) {
+		results[r.Index] = r
+	}
+	return results
+}
+
 // TestEngineMatchesSerial is the determinism contract: a concurrent
 // batch over the whole corpus produces segmentations deeply equal to
 // serial core.Segment calls, for both methods.
@@ -61,7 +85,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, r := range eng.SegmentAll(context.Background(), inputs) {
+		for i, r := range runTasks(context.Background(), eng, tasksFor(inputs)) {
 			if r.Err != nil {
 				t.Fatalf("%v engine input %d: %v", m, i, r.Err)
 			}
@@ -82,7 +106,7 @@ func TestEngineTemplateCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := eng.RunTasks(context.Background(), []engine.Task{
+	results := runTasks(context.Background(), eng, []engine.Task{
 		{ID: "a0", Input: inA0},
 		{ID: "a1", Input: inA1},
 		{ID: "a0-again", Input: inA0},
@@ -114,7 +138,7 @@ func TestEngineDisableCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := eng.RunTasks(context.Background(), []engine.Task{{Input: in}, {Input: in}})
+	results := runTasks(context.Background(), eng, []engine.Task{{Input: in}, {Input: in}})
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("task %d: %v", i, r.Err)
@@ -138,7 +162,7 @@ func TestEnginePerTaskOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	cspOpts := core.DefaultOptions(core.CSP)
-	results := eng.RunTasks(context.Background(), []engine.Task{
+	results := runTasks(context.Background(), eng, []engine.Task{
 		{ID: "prob", Input: in},
 		{ID: "csp", Input: in, Options: &cspOpts},
 	})
@@ -162,7 +186,7 @@ func TestEngineStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := eng.Segment(context.Background(), in)
+	r := runTasks(context.Background(), eng, []engine.Task{{Input: in}})[0]
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -291,7 +315,7 @@ func TestEngineTokenCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := eng.RunTasks(context.Background(), []engine.Task{
+	results := runTasks(context.Background(), eng, []engine.Task{
 		{ID: "first", Input: in},
 		{ID: "second", Input: in},
 	})
@@ -330,7 +354,7 @@ func TestEngineTokenCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range off.RunTasks(context.Background(), []engine.Task{{Input: in}, {Input: in}}) {
+	for _, r := range runTasks(context.Background(), off, []engine.Task{{Input: in}, {Input: in}}) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -359,7 +383,7 @@ func TestEngineNoGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := eng.SegmentAll(context.Background(), inputs)
+	results := runTasks(context.Background(), eng, tasksFor(inputs))
 	if len(results) != len(inputs) {
 		t.Fatalf("got %d results for %d inputs", len(results), len(inputs))
 	}
@@ -582,7 +606,7 @@ func TestEngineObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := corpusInputs(t)[:4]
-	for _, r := range eng.SegmentAll(context.Background(), inputs) {
+	for _, r := range runTasks(context.Background(), eng, tasksFor(inputs)) {
 		if r.Err != nil {
 			t.Fatalf("task %d: %v", r.Index, r.Err)
 		}

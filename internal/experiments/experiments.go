@@ -65,21 +65,32 @@ type Table4Result struct {
 	CleanPages          int
 }
 
-// RunTable4 reproduces Table 4 for a generator seed. The 48 runs
-// (24 list pages, each scored under both methods) go through the batch
-// engine: the two runs of a page share one cached site preparation, and
-// the pool keeps every core busy. Each run is pure for a fixed seed, so
-// the aggregated result is deterministic regardless of scheduling.
-func RunTable4(ctx context.Context, seed int64) (*Table4Result, error) {
-	type job struct {
-		site    *sitegen.Site
-		pageIdx int
-	}
-	var jobs []job
+// corpusJob is one list page of the Table 4 corpus.
+type corpusJob struct {
+	site    *sitegen.Site
+	pageIdx int
+}
+
+// corpusRun is the Table 4 workload after one pass through the batch
+// engine: results[2*j] is jobs[j] under the probabilistic method and
+// results[2*j+1] under the CSP.
+type corpusRun struct {
+	jobs    []corpusJob
+	results []engine.Result
+	cache   engine.CacheStats
+}
+
+// runCorpus runs the 48 Table 4 tasks (24 list pages, each under both
+// methods) through one batch engine: the two runs of a page share one
+// cached site preparation, and the pool keeps every core busy. Each
+// run is pure for a fixed seed, so the results are deterministic
+// regardless of scheduling.
+func runCorpus(ctx context.Context, seed int64) (*corpusRun, error) {
+	run := &corpusRun{}
 	for _, profile := range sitegen.Profiles() {
 		site := sitegen.Generate(profile, seed)
 		for pageIdx := range site.Lists {
-			jobs = append(jobs, job{site, pageIdx})
+			run.jobs = append(run.jobs, corpusJob{site, pageIdx})
 		}
 	}
 
@@ -89,18 +100,33 @@ func RunTable4(ctx context.Context, seed int64) (*Table4Result, error) {
 	}
 	probOpts := core.DefaultOptions(core.Probabilistic)
 	cspOpts := core.DefaultOptions(core.CSP)
-	tasks := make([]engine.Task, 2*len(jobs))
-	for ji, j := range jobs {
+	tasks := make(chan engine.Task, 2*len(run.jobs))
+	for _, j := range run.jobs {
 		in := BuildInput(j.site, j.pageIdx)
 		id := fmt.Sprintf("%s-%d", j.site.Profile.Slug, j.pageIdx)
-		tasks[2*ji] = engine.Task{ID: id + "-prob", Input: in, Options: &probOpts}
-		tasks[2*ji+1] = engine.Task{ID: id + "-csp", Input: in, Options: &cspOpts}
+		tasks <- engine.Task{ID: id + "-prob", Input: in, Options: &probOpts}
+		tasks <- engine.Task{ID: id + "-csp", Input: in, Options: &cspOpts}
 	}
-	results := eng.RunTasks(ctx, tasks)
+	close(tasks)
+	run.results = make([]engine.Result, 2*len(run.jobs))
+	for r := range eng.Stream(ctx, tasks) {
+		run.results[r.Index] = r
+	}
+	run.cache = eng.CacheStats()
+	return run, nil
+}
+
+// RunTable4 reproduces Table 4 for a generator seed from one corpus
+// run (see runCorpus).
+func RunTable4(ctx context.Context, seed int64) (*Table4Result, error) {
+	run, err := runCorpus(ctx, seed)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &Table4Result{}
-	for ji, j := range jobs {
-		prob, cspRes := results[2*ji], results[2*ji+1]
+	for ji, j := range run.jobs {
+		prob, cspRes := run.results[2*ji], run.results[2*ji+1]
 		if prob.Err != nil {
 			return nil, fmt.Errorf("%s page %d: %w", j.site.Profile.Slug, j.pageIdx, prob.Err)
 		}

@@ -8,7 +8,6 @@ import (
 
 	"tableseg/internal/core"
 	"tableseg/internal/engine"
-	"tableseg/internal/sitegen"
 )
 
 // TimingReport aggregates the stage-graph instrumentation of a full
@@ -34,34 +33,12 @@ type TimingReport struct {
 // RunTiming runs the Table 4 workload through the batch engine and
 // aggregates its per-stage instrumentation.
 func RunTiming(ctx context.Context, seed int64) (*TimingReport, error) {
-	type job struct {
-		site    *sitegen.Site
-		pageIdx int
-	}
-	var jobs []job
-	for _, profile := range sitegen.Profiles() {
-		site := sitegen.Generate(profile, seed)
-		for pageIdx := range site.Lists {
-			jobs = append(jobs, job{site, pageIdx})
-		}
-	}
-	eng, err := engine.New(engine.Config{Options: core.DefaultOptions(core.Probabilistic)})
+	run, err := runCorpus(ctx, seed)
 	if err != nil {
 		return nil, err
 	}
-	probOpts := core.DefaultOptions(core.Probabilistic)
-	cspOpts := core.DefaultOptions(core.CSP)
-	tasks := make([]engine.Task, 2*len(jobs))
-	for ji, j := range jobs {
-		in := BuildInput(j.site, j.pageIdx)
-		id := fmt.Sprintf("%s-%d", j.site.Profile.Slug, j.pageIdx)
-		tasks[2*ji] = engine.Task{ID: id + "-prob", Input: in, Options: &probOpts}
-		tasks[2*ji+1] = engine.Task{ID: id + "-csp", Input: in, Options: &cspOpts}
-	}
-	results := eng.RunTasks(ctx, tasks)
-
-	rep := &TimingReport{Tasks: len(results)}
-	for _, r := range results {
+	rep := &TimingReport{Tasks: len(run.results), Cache: run.cache}
+	for _, r := range run.results {
 		if r.Err != nil {
 			return nil, fmt.Errorf("timing task %s: %w", r.ID, r.Err)
 		}
@@ -70,7 +47,6 @@ func RunTiming(ctx context.Context, seed int64) (*TimingReport, error) {
 			rep.Stages = mergeStage(rep.Stages, s)
 		}
 	}
-	rep.Cache = eng.CacheStats()
 	return rep, nil
 }
 

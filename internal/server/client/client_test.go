@@ -55,7 +55,7 @@ func TestClientSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := tableseg.SegmentProbabilistic(in)
+	seg, err := tableseg.Segment(in, tableseg.DefaultOptions(tableseg.Probabilistic))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@
 //	    Target:      0,
 //	    DetailPages: details, // one Page per record link, in order
 //	}
-//	seg, err := tableseg.SegmentProbabilistic(in)
+//	seg, err := tableseg.Segment(in, tableseg.DefaultOptions(tableseg.Probabilistic))
 //	for _, rec := range seg.Records {
 //	    fmt.Println(rec.Index, rec.Texts())
 //	}
@@ -91,10 +91,8 @@ type CSPParams = csp.SolveParams
 type PHMMParams = phmm.Params
 
 // DefaultOptions returns the paper-reproduction configuration for a
-// method. It remains fully supported, but new code should prefer the
-// functional-option path — NewOptions(WithMethod(m), ...) — which
-// yields the identical configuration and validates it at construction
-// instead of at the first Segment call.
+// method. Adjust fields on the returned struct to tune it; Segment,
+// NewEngine and the daemon validate the result (ErrBadOptions).
 func DefaultOptions(m Method) Options { return core.DefaultOptions(m) }
 
 // SegmentContext runs the full pipeline with explicit options under a
@@ -109,18 +107,6 @@ func SegmentContext(ctx context.Context, in Input, opts Options) (*Segmentation,
 // Segment runs the full pipeline with explicit options.
 func Segment(in Input, opts Options) (*Segmentation, error) {
 	return SegmentContext(context.Background(), in, opts)
-}
-
-// SegmentCSP segments with the §4 constraint-satisfaction method under
-// default options.
-func SegmentCSP(in Input) (*Segmentation, error) {
-	return SegmentContext(context.Background(), in, core.DefaultOptions(core.CSP))
-}
-
-// SegmentProbabilistic segments with the §5 probabilistic method under
-// default options.
-func SegmentProbabilistic(in Input) (*Segmentation, error) {
-	return SegmentContext(context.Background(), in, core.DefaultOptions(core.Probabilistic))
 }
 
 // WriteCSV emits the reconstructed relational table as CSV. When the

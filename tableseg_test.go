@@ -1,6 +1,7 @@
 package tableseg
 
 import (
+	"context"
 	"encoding/csv"
 	"reflect"
 	"strconv"
@@ -29,11 +30,11 @@ func exampleInput(t *testing.T) Input {
 
 func TestPublicAPISegment(t *testing.T) {
 	in := exampleInput(t)
-	prob, err := SegmentProbabilistic(in)
+	prob, err := Segment(in, DefaultOptions(Probabilistic))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cspSeg, err := SegmentCSP(in)
+	cspSeg, err := Segment(in, DefaultOptions(CSP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestSegmentWithOptions(t *testing.T) {
 
 func TestReconstructTable(t *testing.T) {
 	in := exampleInput(t)
-	seg, err := SegmentProbabilistic(in)
+	seg, err := Segment(in, DefaultOptions(Probabilistic))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestReconstructTableWithoutColumns(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	in := exampleInput(t)
-	seg, err := SegmentProbabilistic(in)
+	seg, err := Segment(in, DefaultOptions(Probabilistic))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestPublicHarvestAPI(t *testing.T) {
 		Fetcher: MapFetcher(site.SiteMap()),
 		Options: DefaultOptions(Probabilistic),
 	}
-	table, results, err := h.HarvestAll("/list1.html")
+	table, results, err := h.HarvestAll(context.Background(), "/list1.html")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestPublicLinksAndDiscovery(t *testing.T) {
 // unlabeled (CSP, no columns) segmentation.
 func TestWriteCSVRoundTrip(t *testing.T) {
 	in := exampleInput(t)
-	prob, err := SegmentProbabilistic(in)
+	prob, err := Segment(in, DefaultOptions(Probabilistic))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,12 @@
 package main
 
 // Baseline comparison: `benchjson -baseline BENCH_stages.json` diffs
-// the freshly parsed report against a previously committed one and
-// prints a warning for every benchmark whose ns/op grew by more than
-// -tolerance percent. The comparison is advisory — microbenchmarks on
-// shared CI runners jitter too much for a hard gate — so regressions
-// never change the exit status; they are meant to be read, not to
-// block. `make bench-check` wires this up.
+// the freshly parsed report against a previously committed one. A
+// benchmark whose allocs/op grew fails the run: at a fixed -benchtime
+// Nx the count repeats exactly, so any growth is a real change. A
+// benchmark whose ns/op grew by more than -tolerance percent only gets
+// a warning, because microbenchmarks on shared CI runners jitter too
+// much for a hard timing gate. `make bench-check` wires this up.
 
 import (
 	"encoding/json"
@@ -30,13 +30,14 @@ func loadReport(path string) (*Report, error) {
 }
 
 // compare writes one line per regressed, missing or new benchmark to w
-// and returns the number of regressions beyond the tolerance.
+// and returns the number of allocs/op regressions, which fail the run;
+// ns/op regressions beyond the tolerance are warnings only.
 func compare(w io.Writer, baseline, current *Report, tolerancePct float64) int {
 	old := make(map[string]Record, len(baseline.Benchmarks))
 	for _, r := range baseline.Benchmarks {
 		old[r.Name] = r
 	}
-	regressions := 0
+	slower, allocGrowth := 0, 0
 	seen := make(map[string]bool, len(current.Benchmarks))
 	for _, r := range current.Benchmarks {
 		seen[r.Name] = true
@@ -45,12 +46,16 @@ func compare(w io.Writer, baseline, current *Report, tolerancePct float64) int {
 			fmt.Fprintf(w, "benchjson: %s: new benchmark, no baseline\n", r.Name)
 			continue
 		}
+		if prev.AllocsPerOp != nil && r.AllocsPerOp != nil && *r.AllocsPerOp > *prev.AllocsPerOp {
+			allocGrowth++
+			fmt.Fprintf(w, "benchjson: %s: allocs/op grew (%d -> %d)\n", r.Name, *prev.AllocsPerOp, *r.AllocsPerOp)
+		}
 		if prev.NsPerOp <= 0 {
 			continue
 		}
 		deltaPct := (r.NsPerOp - prev.NsPerOp) / prev.NsPerOp * 100
 		if deltaPct > tolerancePct {
-			regressions++
+			slower++
 			fmt.Fprintf(w, "benchjson: %s: ns/op regressed %+.1f%% (%.0f -> %.0f), tolerance %.0f%%\n",
 				r.Name, deltaPct, prev.NsPerOp, r.NsPerOp, tolerancePct)
 		}
@@ -65,8 +70,11 @@ func compare(w io.Writer, baseline, current *Report, tolerancePct float64) int {
 	for _, name := range gone {
 		fmt.Fprintf(w, "benchjson: %s: present in baseline but not in this run\n", name)
 	}
-	if regressions > 0 {
-		fmt.Fprintf(w, "benchjson: %d benchmark(s) beyond tolerance (advisory; not failing the run)\n", regressions)
+	if slower > 0 {
+		fmt.Fprintf(w, "benchjson: %d benchmark(s) slower beyond tolerance (advisory; not failing the run)\n", slower)
 	}
-	return regressions
+	if allocGrowth > 0 {
+		fmt.Fprintf(w, "benchjson: %d benchmark(s) allocate more than the baseline; failing the run\n", allocGrowth)
+	}
+	return allocGrowth
 }

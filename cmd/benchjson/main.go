@@ -120,8 +120,8 @@ func run(filter *regexp.Regexp, out string) (*Report, error) {
 func main() {
 	filterFlag := flag.String("filter", "", "regexp selecting benchmark names for the report (empty = all)")
 	out := flag.String("out", "-", "output file (- = stdout)")
-	baselinePath := flag.String("baseline", "", "prior report to diff against (warnings only, never fails the run)")
-	tolerance := flag.Float64("tolerance", 20, "ns/op growth beyond this percentage is reported as a regression")
+	baselinePath := flag.String("baseline", "", "prior report to diff against (allocs/op growth fails the run; ns/op growth only warns)")
+	tolerance := flag.Float64("tolerance", 20, "ns/op growth beyond this percentage is reported as an advisory regression")
 	flag.Parse()
 
 	filter, err := regexp.Compile(*filterFlag)
@@ -140,6 +140,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		compare(os.Stderr, baseline, report, *tolerance)
+		if compare(os.Stderr, baseline, report, *tolerance) > 0 {
+			os.Exit(1)
+		}
 	}
 }

@@ -50,39 +50,50 @@ func TestParseLine(t *testing.T) {
 }
 
 func TestCompare(t *testing.T) {
+	i64 := func(n int64) *int64 { return &n }
 	baseline := &Report{Benchmarks: []Record{
-		{Name: "StageTokenize", NsPerOp: 1000},
-		{Name: "StageSegment", NsPerOp: 2000},
+		{Name: "StageTokenize", NsPerOp: 1000, AllocsPerOp: i64(10)},
+		{Name: "StageSegment", NsPerOp: 2000, AllocsPerOp: i64(20)},
+		{Name: "SolverGrown", NsPerOp: 300, AllocsPerOp: i64(50)},
+		{Name: "SolverShrunk", NsPerOp: 300, AllocsPerOp: i64(50)},
+		{Name: "SolverUnmeasured", NsPerOp: 300},
 		{Name: "SolverRemoved", NsPerOp: 500},
 	}}
 	current := &Report{Benchmarks: []Record{
-		{Name: "StageTokenize", NsPerOp: 1050}, // +5%: within tolerance
-		{Name: "StageSegment", NsPerOp: 2600},  // +30%: regression
-		{Name: "SolverAdded", NsPerOp: 100},    // new, no baseline
+		{Name: "StageTokenize", NsPerOp: 1050, AllocsPerOp: i64(10)},  // +5%: within tolerance
+		{Name: "StageSegment", NsPerOp: 2600, AllocsPerOp: i64(20)},   // +30%: advisory regression
+		{Name: "SolverGrown", NsPerOp: 300, AllocsPerOp: i64(51)},     // one more alloc: failure
+		{Name: "SolverShrunk", NsPerOp: 300, AllocsPerOp: i64(40)},    // fewer allocs: fine
+		{Name: "SolverUnmeasured", NsPerOp: 300, AllocsPerOp: i64(9)}, // no baseline allocs
+		{Name: "SolverAdded", NsPerOp: 100},                           // new, no baseline
 	}}
 	var buf strings.Builder
 	got := compare(&buf, baseline, current, 20)
 	if got != 1 {
-		t.Fatalf("compare returned %d regressions, want 1\n%s", got, buf.String())
+		t.Fatalf("compare returned %d failures, want 1 (the allocs/op growth)\n%s", got, buf.String())
 	}
 	out := buf.String()
 	for _, want := range []string{
 		"StageSegment: ns/op regressed +30.0% (2000 -> 2600)",
+		"1 benchmark(s) slower beyond tolerance (advisory",
+		"SolverGrown: allocs/op grew (50 -> 51)",
+		"1 benchmark(s) allocate more than the baseline; failing the run",
 		"SolverAdded: new benchmark, no baseline",
 		"SolverRemoved: present in baseline but not in this run",
-		"advisory",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("compare output missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "StageTokenize") {
-		t.Errorf("within-tolerance benchmark reported:\n%s", out)
+	for _, quiet := range []string{"StageTokenize", "SolverShrunk", "SolverUnmeasured"} {
+		if strings.Contains(out, quiet) {
+			t.Errorf("%s reported although it did not regress:\n%s", quiet, out)
+		}
 	}
 
 	buf.Reset()
 	if got := compare(&buf, baseline, baseline, 20); got != 0 || buf.Len() != 0 {
-		t.Errorf("identical reports: %d regressions, output %q", got, buf.String())
+		t.Errorf("identical reports: %d failures, output %q", got, buf.String())
 	}
 }
 

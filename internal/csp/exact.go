@@ -3,6 +3,7 @@ package csp
 import (
 	"context"
 	"errors"
+	"math"
 )
 
 // ErrSearchLimit is returned by SolveExact when the node budget is
@@ -21,26 +22,41 @@ type ExactParams struct {
 // propagation over the hard constraints. It returns (assignment, true,
 // nil) for a satisfying assignment of the hard constraints, (nil, false,
 // nil) when provably unsatisfiable, or an ErrSearchLimit error when the
-// node budget ran out. Soft constraints are ignored: the exact solver's
-// job is feasibility and UNSAT certification (the paper's "no solution
-// found" cases), not optimization. Cancellation is polled every few
-// thousand search nodes and surfaces as ctx.Err(); an uncancelled run
-// explores exactly the same node sequence regardless of deadline.
+// node budget ran out. The assignment is the first feasible one the
+// search reaches, not one of least soft penalty: SolveExact sets no
+// bound on the soft penalty, so soft constraints never prune its
+// search (SolveWSATContext runs the same search with a bound to end
+// its restarts early). Cancellation is polled every few thousand
+// search nodes and surfaces as ctx.Err(); an uncancelled run explores
+// exactly the same node sequence regardless of deadline.
 func SolveExact(ctx context.Context, p *Problem, params ExactParams) ([]bool, bool, error) {
 	if params.MaxNodes == 0 {
 		params.MaxNodes = 2_000_000
 	}
-	s := &exactSearch{p: p, maxNodes: params.MaxNodes, ctx: ctx}
-	s.value = make([]int8, p.NumVars()) // -1 unknown is encoded as 2? no: use 2 for unset
+	return solveExactBelow(ctx, p, params.MaxNodes, noBound)
+}
+
+// solveExactBelow searches within maxNodes nodes for an assignment
+// that satisfies every hard constraint and has a weighted soft penalty
+// below bound. Besides the hard constraints' bounds, it prunes a
+// partial assignment once the least soft penalty its LHS intervals
+// allow reaches bound. It returns (assignment, true, nil) on success,
+// (nil, false, nil) when no such assignment exists, and ErrSearchLimit
+// or ctx.Err() when the search stopped early.
+func solveExactBelow(ctx context.Context, p *Problem, maxNodes, bound int) ([]bool, bool, error) {
+	s := &exactSearch{p: p, maxNodes: maxNodes, bound: bound, ctx: ctx}
+	s.value = make([]int8, p.NumVars())
 	for i := range s.value {
 		s.value[i] = unset
 	}
-	// Precompute hard-constraint incidence and coefficient bounds.
+	// Split hard from soft constraints and index the hard ones by
+	// variable (branching picks the most constrained variable).
 	for ci := range p.Constraints {
-		if !p.Constraints[ci].Hard() {
-			continue
+		if p.Constraints[ci].Hard() {
+			s.hard = append(s.hard, ci)
+		} else {
+			s.soft = append(s.soft, ci)
 		}
-		s.hard = append(s.hard, ci)
 	}
 	s.occ = make([][]int, p.NumVars())
 	for _, ci := range s.hard {
@@ -65,13 +81,18 @@ func SolveExact(ctx context.Context, p *Problem, params ExactParams) ([]bool, bo
 	return out, true, nil
 }
 
+// noBound is the soft-penalty bound that never prunes.
+const noBound = math.MaxInt
+
 const unset int8 = 2
 
 type exactSearch struct {
 	p         *Problem
 	hard      []int
+	soft      []int
 	occ       [][]int
 	value     []int8
+	bound     int // exclusive upper bound on the soft penalty
 	nodes     int
 	maxNodes  int
 	limited   bool
@@ -92,7 +113,21 @@ func (s *exactSearch) feasibleBounds() bool {
 
 func (s *exactSearch) constraintFeasible(ci int) bool {
 	c := &s.p.Constraints[ci]
-	lo, hi := 0, 0
+	lo, hi := s.lhsRange(c)
+	switch c.Op {
+	case LE:
+		return lo <= c.RHS
+	case GE:
+		return hi >= c.RHS
+	case EQ:
+		return lo <= c.RHS && hi >= c.RHS
+	}
+	return true
+}
+
+// lhsRange is the interval of LHS values c can still take under the
+// current partial assignment.
+func (s *exactSearch) lhsRange(c *Constraint) (lo, hi int) {
 	for _, t := range c.Terms {
 		switch s.value[t.Var] {
 		case 1:
@@ -106,15 +141,28 @@ func (s *exactSearch) constraintFeasible(ci int) bool {
 			}
 		}
 	}
-	switch c.Op {
-	case LE:
-		return lo <= c.RHS
-	case GE:
-		return hi >= c.RHS
-	case EQ:
-		return lo <= c.RHS && hi >= c.RHS
+	return lo, hi
+}
+
+// softLowerBound bounds from below the weighted soft penalty of every
+// completion of the partial assignment: each soft constraint
+// contributes the violation of the LHS value in its interval nearest
+// to satisfaction. On a full assignment it is the exact soft penalty.
+func (s *exactSearch) softLowerBound() int {
+	total := 0
+	for _, ci := range s.soft {
+		c := &s.p.Constraints[ci]
+		lo, hi := s.lhsRange(c)
+		least := 0
+		if c.Op != GE && lo > c.RHS {
+			least = lo - c.RHS
+		}
+		if c.Op != LE && hi < c.RHS {
+			least = c.RHS - hi
+		}
+		total += least * c.Weight
 	}
-	return true
+	return total
 }
 
 // propagate fixes forced variables: if setting a variable to one value
@@ -188,7 +236,7 @@ func (s *exactSearch) dfs() bool {
 		}
 	}
 	var trail []int
-	if !s.propagate(&trail) {
+	if !s.propagate(&trail) || s.softLowerBound() >= s.bound {
 		s.undo(trail)
 		return false
 	}

@@ -372,3 +372,37 @@ func TestWSATDynamicWeightsReportTrueScore(t *testing.T) {
 		t.Errorf("reported (0,%d) but re-eval gives (%d,%d)", sol.SoftPenalty, hv, sp)
 	}
 }
+
+// Flips counts the flips performed, not the flip budget: a one-variable
+// instance needs at most one flip from either start, and a planted
+// instance solved in its first restart stops short of MaxFlips.
+func TestWSATFlipsCountsPerformedFlips(t *testing.T) {
+	p := NewProblem()
+	x := p.AddVar("x")
+	p.AddHard([]Term{{1, x}}, GE, 1, "h")
+	flipped := 0
+	for seed := int64(0); seed < 8; seed++ {
+		sol := solveWSAT(p, WSATParams{Seed: seed})
+		if !sol.Feasible || sol.Restarts != 1 {
+			t.Fatalf("seed %d: feasible %v after %d restarts", seed, sol.Feasible, sol.Restarts)
+		}
+		if sol.Flips > 1 {
+			t.Errorf("seed %d: Flips = %d, want at most 1", seed, sol.Flips)
+		}
+		flipped += sol.Flips
+	}
+	if flipped == 0 {
+		t.Error("every seed started at x = 1, so no flip was counted")
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	planted, _ := plantInstance(rng, 20, 30)
+	params := WSATParams{Seed: 1, MaxFlips: 6000}
+	sol := solveWSAT(planted, params)
+	if !sol.Feasible || sol.Restarts != 1 {
+		t.Fatalf("planted instance: feasible %v after %d restarts", sol.Feasible, sol.Restarts)
+	}
+	if sol.Flips == 0 || sol.Flips >= params.MaxFlips {
+		t.Errorf("planted instance: Flips = %d, want between 1 and %d", sol.Flips, params.MaxFlips-1)
+	}
+}

@@ -59,19 +59,24 @@ func (p WSATParams) withDefaults(problemSize int) WSATParams {
 
 // Solution is the outcome of a solver run.
 type Solution struct {
-	// Assign is the best assignment found.
+	// Assign is the best assignment found. When Feasible is false it
+	// is only a witness of failure: after an early stop (see
+	// SolveWSATContext) it is the best of the first restart, not the
+	// lowest-scoring assignment a full run would have reached, so
+	// callers should read nothing but Feasible from it.
 	Assign []bool
 	// Feasible is true when Assign satisfies every hard constraint.
 	Feasible bool
 	// HardViolation and SoftPenalty describe Assign's quality.
 	HardViolation int
 	SoftPenalty   int
-	// Flips counts the total flips performed across restarts.
+	// Flips counts the flips actually performed across restarts.
 	Flips int
 	// Restart records which restart produced the best assignment.
 	Restart int
 	// Restarts counts the restarts actually executed (the loop exits
-	// early once a perfect assignment is found).
+	// early once a perfect assignment is found or once no later
+	// restart can replace the best).
 	Restarts int
 }
 
@@ -80,27 +85,53 @@ func (s *Solution) score(hardWeight int) int {
 	return s.HardViolation*hardWeight + s.SoftPenalty
 }
 
+// certNodes is the node budget of the exact search that may end
+// SolveWSATContext's restarts early. Proofs on the segmentation and
+// column encodings mostly need a few hundred nodes; the budget caps
+// the rare instance whose proof would take millions.
+const certNodes = 1000
+
 // SolveWSATContext runs a WSAT(OIP)-style local search: repeatedly
 // pick an unsatisfied constraint and flip one of its variables,
 // choosing the flip that most reduces the combined (hard-weighted)
 // violation score, with probabilistic noise moves and a short tabu
 // list, restarting from fresh random assignments. It returns the best
 // assignment found; the caller decides what to do with an infeasible
-// best (relax constraints, per §6.3). Cancellation is checked only at
-// restart boundaries: an uncancelled run performs exactly the same
-// flip sequence regardless of deadline (results stay deterministic
-// for a fixed seed), while a cancelled one returns ctx.Err() within
-// one restart's worth of flips.
+// best (relax constraints, per §6.3).
+//
+// When the first restart ends short of a perfect assignment, an exact
+// search of at most certNodes nodes looks for a hard-feasible
+// assignment whose soft penalty is below the best's combined score.
+// If it proves there is none, the remaining restarts are skipped: a
+// feasible best with SoftPenalty ≤ HardWeight can then never be
+// replaced (ties never replace a best), so the result is the one a
+// full run returns with fewer Flips and Restarts; an infeasible best
+// stays infeasible, as in a full run, though its Assign may differ.
+// A budget overrun or a better assignment runs every restart.
+//
+// Cancellation is checked only at restart boundaries: an uncancelled
+// run performs exactly the same flip sequence regardless of deadline
+// (results stay deterministic for a fixed seed), while a cancelled one
+// returns ctx.Err() within one restart's worth of flips.
 func SolveWSATContext(ctx context.Context, p *Problem, params WSATParams) (*Solution, error) {
+	return runWSAT(ctx, p, params, certNodes)
+}
+
+// runWSAT is SolveWSATContext with the early stop's node budget as a
+// parameter; 0 turns the early stop off.
+func runWSAT(ctx context.Context, p *Problem, params WSATParams, certBudget int) (*Solution, error) {
 	params = params.withDefaults(p.NumVars())
 	rng := rand.New(rand.NewSource(params.Seed))
 	st := newSearchState(p, params)
 
 	best := &Solution{Assign: make([]bool, p.NumVars()), HardViolation: 1 << 30, SoftPenalty: 1 << 30}
-	totalFlips := 0
+	totalFlips := 0 // the tabu clock: every restart advances it by MaxFlips
 	for restart := 0; restart < params.Restarts; restart++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		if restart == 1 && certBudget > 0 && cannotImprove(ctx, p, best, params.HardWeight, certBudget) {
+			break
 		}
 		best.Restarts = restart + 1
 		st.randomize(rng)
@@ -119,6 +150,7 @@ func SolveWSATContext(ctx context.Context, p *Problem, params WSATParams) (*Solu
 				continue
 			}
 			st.flip(v, totalFlips+flip)
+			best.Flips++
 			improved := false
 			if st.trueScore() <= best.score(params.HardWeight) {
 				improved = st.recordBest(best, restart)
@@ -141,8 +173,24 @@ func SolveWSATContext(ctx context.Context, p *Problem, params WSATParams) (*Solu
 			break
 		}
 	}
-	best.Flips = totalFlips
 	return best, nil
+}
+
+// cannotImprove reports whether an exact search within budget nodes
+// proves that no later restart can change the outcome, by ruling out
+// every hard-feasible assignment with a soft penalty below best's
+// score. For a feasible best with SoftPenalty ≤ hardWeight that is
+// enough: every infeasible assignment scores at least hardWeight, so
+// best is never replaced. An infeasible best may still give way to a
+// less infeasible one, but never to a feasible one. Above hardWeight a
+// feasible best could lose to an infeasible assignment, so no proof is
+// tried.
+func cannotImprove(ctx context.Context, p *Problem, best *Solution, hardWeight, budget int) bool {
+	if best.Feasible && best.SoftPenalty > hardWeight {
+		return false
+	}
+	_, found, err := solveExactBelow(ctx, p, budget, best.score(hardWeight))
+	return err == nil && !found
 }
 
 // searchState holds the incremental data structures of the local search:
@@ -154,7 +202,7 @@ type searchState struct {
 	assign  []bool
 	lhs     []int
 	viol    []int // violation per constraint
-	occ     [][]int
+	occ     [][]occurrence
 	violSet []int // indices of currently violated constraints (lazy, compacted on pick)
 	inSet   []bool
 	tabu    []int // last flip time per var
@@ -169,29 +217,35 @@ type searchState struct {
 	dynPenalty int
 }
 
+// occurrence is one constraint a variable appears in, with the
+// variable's summed coefficient there (duplicate terms add up).
+type occurrence struct {
+	ci, coef int
+}
+
 func newSearchState(p *Problem, params WSATParams) *searchState {
 	st := &searchState{
-		p:      p,
-		params: params,
-		assign: make([]bool, p.NumVars()),
-		lhs:    make([]int, len(p.Constraints)),
-		viol:   make([]int, len(p.Constraints)),
-		occ:    make([][]int, p.NumVars()),
-		inSet:  make([]bool, len(p.Constraints)),
-		tabu:   make([]int, p.NumVars()),
-		dyn:    make([]int, len(p.Constraints)),
+		p:       p,
+		params:  params,
+		assign:  make([]bool, p.NumVars()),
+		lhs:     make([]int, len(p.Constraints)),
+		viol:    make([]int, len(p.Constraints)),
+		occ:     make([][]occurrence, p.NumVars()),
+		violSet: make([]int, 0, len(p.Constraints)),
+		inSet:   make([]bool, len(p.Constraints)),
+		tabu:    make([]int, p.NumVars()),
+		dyn:     make([]int, len(p.Constraints)),
 	}
 	for ci := range p.Constraints {
-		// Register each constraint once per distinct variable: the
-		// flip routines already sum duplicate terms' coefficients, so
-		// a duplicate occ entry would double-apply the update.
-		seen := map[int]bool{}
 		for _, t := range p.Constraints[ci].Terms {
-			if seen[t.Var] {
+			// Constraints are visited in order, so a variable already
+			// seen in ci is the last entry of its list.
+			o := st.occ[t.Var]
+			if n := len(o); n > 0 && o[n-1].ci == ci {
+				o[n-1].coef += t.Coef
 				continue
 			}
-			seen[t.Var] = true
-			st.occ[t.Var] = append(st.occ[t.Var], ci)
+			st.occ[t.Var] = append(o, occurrence{ci: ci, coef: t.Coef})
 		}
 	}
 	return st
@@ -270,14 +324,22 @@ func (st *searchState) pickViolated(rng *rand.Rand) int {
 	// Prefer a violated hard constraint with probability proportional
 	// to their share, but always pick hard when any exists and a fair
 	// coin lands hard-side: this keeps pressure on feasibility.
-	var hard []int
+	nHard := 0
 	for _, ci := range st.violSet {
 		if st.p.Constraints[ci].Hard() {
-			hard = append(hard, ci)
+			nHard++
 		}
 	}
-	if len(hard) > 0 && (len(hard) == w || rng.Float64() < 0.8) {
-		return hard[rng.Intn(len(hard))]
+	if nHard > 0 && (nHard == w || rng.Float64() < 0.8) {
+		k := rng.Intn(nHard)
+		for _, ci := range st.violSet {
+			if st.p.Constraints[ci].Hard() {
+				if k == 0 {
+					return ci
+				}
+				k--
+			}
+		}
 	}
 	return st.violSet[rng.Intn(w)]
 }
@@ -317,18 +379,11 @@ func (st *searchState) flipDelta(v int) int {
 	if st.assign[v] {
 		dir = -1
 	}
-	for _, ci := range st.occ[v] {
-		c := &st.p.Constraints[ci]
-		var coef int
-		for _, t := range c.Terms {
-			if t.Var == v {
-				coef += t.Coef
-			}
-		}
-		newViol := c.violationOf(st.lhs[ci] + dir*coef)
-		d := newViol - st.viol[ci]
+	for _, o := range st.occ[v] {
+		c := &st.p.Constraints[o.ci]
+		d := c.violationOf(st.lhs[o.ci]+dir*o.coef) - st.viol[o.ci]
 		if c.Hard() {
-			delta += d * (st.params.HardWeight + st.dyn[ci])
+			delta += d * (st.params.HardWeight + st.dyn[o.ci])
 		} else {
 			delta += d * c.Weight
 		}
@@ -344,15 +399,10 @@ func (st *searchState) flip(v, now int) {
 	}
 	st.assign[v] = !st.assign[v]
 	st.tabu[v] = now
-	for _, ci := range st.occ[v] {
+	for _, o := range st.occ[v] {
+		ci := o.ci
 		c := &st.p.Constraints[ci]
-		var coef int
-		for _, t := range c.Terms {
-			if t.Var == v {
-				coef += t.Coef
-			}
-		}
-		st.lhs[ci] += dir * coef
+		st.lhs[ci] += dir * o.coef
 		newViol := c.violationOf(st.lhs[ci])
 		d := newViol - st.viol[ci]
 		if d != 0 {

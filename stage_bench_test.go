@@ -1,17 +1,19 @@
 package tableseg
 
 // Per-stage microbenchmarks over the stage graph (internal/stage): one
-// benchmark per pipeline stage on a representative generated site, plus
-// one solver benchmark per registry entry on the same Problem. `make
-// bench` exports their results as BENCH_stages.json (via cmd/benchjson)
-// so stage-level regressions show up as structured diffs; CI smoke-runs
-// them with -benchtime=1x.
+// benchmark per pipeline stage on a representative generated site, one
+// solver benchmark per registry entry on the same Problem, and one WSAT
+// restart inside the CSP solver. `make bench` exports their results as
+// BENCH_stages.json (via cmd/benchjson) so stage-level regressions show
+// up as structured diffs; `make bench-check` fails when allocs/op grow
+// past it, and CI smoke-runs them with -benchtime=1x.
 
 import (
 	"context"
 	"testing"
 
 	"tableseg/internal/core"
+	"tableseg/internal/csp"
 	"tableseg/internal/experiments"
 	"tableseg/internal/sitegen"
 	"tableseg/internal/solvers"
@@ -33,19 +35,19 @@ type stageFixture struct {
 	asg    *stage.Assignment
 }
 
-// newStageFixture runs the stage graph once over a generated site (the
-// same "allegheny" page the whole-pipeline benchmarks use) and keeps
-// all the artifacts.
-func newStageFixture(b *testing.B) *stageFixture {
+// newStageFixture runs the stage graph once over list page page of the
+// generated site slug and keeps all the artifacts. The stage benchmarks
+// use allegheny's first page, as the whole-pipeline benchmarks do.
+func newStageFixture(b *testing.B, slug string, page int) *stageFixture {
 	b.Helper()
 	ctx := context.Background()
-	p, err := sitegen.ProfileBySlug("allegheny")
+	p, err := sitegen.ProfileBySlug(slug)
 	if err != nil {
 		b.Fatal(err)
 	}
 	site := sitegen.Generate(p, experiments.DefaultSeed)
 	f := &stageFixture{
-		in:   experiments.BuildInput(site, 0),
+		in:   experiments.BuildInput(site, page),
 		opts: core.DefaultOptions(core.CSP),
 	}
 	if f.toks, err = stage.Tokenize(ctx, f.tokenizeIn()); err != nil {
@@ -128,7 +130,7 @@ func (f *stageFixture) solver(b *testing.B, name string) stage.Solver {
 }
 
 func BenchmarkStageTokenize(b *testing.B) {
-	f := newStageFixture(b)
+	f := newStageFixture(b, "allegheny", 0)
 	in := f.tokenizeIn()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -140,7 +142,7 @@ func BenchmarkStageTokenize(b *testing.B) {
 }
 
 func BenchmarkStageInduceTemplate(b *testing.B) {
-	f := newStageFixture(b)
+	f := newStageFixture(b, "allegheny", 0)
 	in := f.templateIn()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -152,7 +154,7 @@ func BenchmarkStageInduceTemplate(b *testing.B) {
 }
 
 func BenchmarkStageSelectSlot(b *testing.B) {
-	f := newStageFixture(b)
+	f := newStageFixture(b, "allegheny", 0)
 	in := f.slotIn()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -164,7 +166,7 @@ func BenchmarkStageSelectSlot(b *testing.B) {
 }
 
 func BenchmarkStageExtract(b *testing.B) {
-	f := newStageFixture(b)
+	f := newStageFixture(b, "allegheny", 0)
 	in := f.extractIn()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -176,7 +178,7 @@ func BenchmarkStageExtract(b *testing.B) {
 }
 
 func BenchmarkStageObserve(b *testing.B) {
-	f := newStageFixture(b)
+	f := newStageFixture(b, "allegheny", 0)
 	in := f.observeIn()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -188,7 +190,7 @@ func BenchmarkStageObserve(b *testing.B) {
 }
 
 func BenchmarkStagePostProcess(b *testing.B) {
-	f := newStageFixture(b)
+	f := newStageFixture(b, "allegheny", 0)
 	in := f.postIn()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -204,7 +206,7 @@ func BenchmarkStagePostProcess(b *testing.B) {
 // may exhaust their fallbacks on this input (Exhausted is a result, not
 // an error); only hard errors fail the benchmark.
 func BenchmarkSolver(b *testing.B) {
-	f := newStageFixture(b)
+	f := newStageFixture(b, "allegheny", 0)
 	for _, name := range stage.RegisteredSolvers() {
 		s := f.solver(b, name)
 		b.Run(name, func(b *testing.B) {
@@ -215,5 +217,27 @@ func BenchmarkSolver(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSolverWSATRestart times one WSAT restart inside the CSP
+// solver. The instance is the relaxed-rung encoding of Superpages'
+// second Table 4 page (123 variables): its soft penalty cannot reach 0,
+// so the restart always runs its whole flip budget.
+func BenchmarkSolverWSATRestart(b *testing.B) {
+	f := newStageFixture(b, "superpages", 1)
+	enc := csp.Encode(csp.SegmentInput{
+		NumRecords:     f.prob.NumRecords,
+		Candidates:     f.prob.Candidates,
+		PositionGroups: f.prob.PositionGroups,
+	}, csp.Relaxed)
+	params := f.opts.CSPParams.WSAT
+	params.Restarts = 1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol, err := csp.SolveWSATContext(context.Background(), enc.Problem, params)
+		if err != nil || !sol.Feasible || sol.SoftPenalty == 0 {
+			b.Fatalf("err %v, solution %+v", err, sol)
+		}
 	}
 }

@@ -144,16 +144,16 @@ func TestForwardBackwardMatchesEnumeration(t *testing.T) {
 		if bf.total == 0 {
 			continue // fully blocked lattice; nothing to compare
 		}
-		post := lt.forwardBackward()
+		ll := lt.forwardBackward()
 
-		if wantLL := math.Log(bf.total); math.Abs(post.loglik-wantLL) > 1e-6*math.Abs(wantLL)+1e-9 {
-			t.Fatalf("trial %d: loglik %.12f, enumeration %.12f", trial, post.loglik, wantLL)
+		if wantLL := math.Log(bf.total); math.Abs(ll-wantLL) > 1e-6*math.Abs(wantLL)+1e-9 {
+			t.Fatalf("trial %d: loglik %.12f, enumeration %.12f", trial, ll, wantLL)
 		}
 		for i := range bf.gamma {
 			for k := range bf.gamma[i] {
-				if math.Abs(post.gamma[i][k]-bf.gamma[i][k]) > 1e-8 {
+				if math.Abs(lt.gamma[i][k]-bf.gamma[i][k]) > 1e-8 {
 					t.Fatalf("trial %d: gamma[%d][%d] = %.12f, enumeration %.12f",
-						trial, i, k, post.gamma[i][k], bf.gamma[i][k])
+						trial, i, k, lt.gamma[i][k], bf.gamma[i][k])
 				}
 			}
 		}
@@ -176,7 +176,10 @@ func TestViterbiMatchesEnumeration(t *testing.T) {
 		if math.IsInf(bf.bestLP, -1) {
 			continue
 		}
-		recs, colsGot, lp := lt.viterbi()
+		recs, colsGot, lp, err := lt.viterbi()
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 		if math.Abs(lp-bf.bestLP) > 1e-6*math.Abs(bf.bestLP)+1e-9 {
 			t.Fatalf("trial %d: viterbi score %.12f, enumeration %.12f\n viterbi %v/%v\n brute   %v/%v",
 				trial, lp, bf.bestLP, recs, colsGot, bf.bestRec, bf.bestCol)

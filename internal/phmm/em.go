@@ -7,7 +7,7 @@ import (
 	"tableseg/internal/token"
 )
 
-// emStats accumulates the expected sufficient statistics of one E-step.
+// emStats holds the expected sufficient statistics of one E-step.
 type emStats struct {
 	// typeTrue[c][j] / colMass[c]: Bernoulli counts for Theta.
 	typeTrue [][]float64
@@ -17,19 +17,16 @@ type emStats struct {
 }
 
 // estep runs forward–backward and converts posteriors into sufficient
-// statistics.
+// statistics. The statistics live in the lattice's workspace, so the
+// next estep on it overwrites them.
 func (m *Model) estep(lt *lattice) (*emStats, float64) {
-	post := lt.forwardBackward()
-	st := &emStats{
-		typeTrue: make([][]float64, m.C),
-		colMass:  make([]float64, m.C),
-		xiCont:   post.xiCont,
-		endC:     post.endC,
+	ll := lt.forwardBackward()
+	st := &lt.emStats
+	clear(st.colMass)
+	for _, row := range st.typeTrue {
+		clear(row)
 	}
-	for c := 0; c < m.C; c++ {
-		st.typeTrue[c] = make([]float64, token.NumTypes)
-	}
-	for i, g := range post.gamma {
+	for i, g := range lt.gamma {
 		tv := lt.inst.TypeVecs[i]
 		for r := 0; r < m.K; r++ {
 			for c := 0; c < m.C; c++ {
@@ -46,7 +43,7 @@ func (m *Model) estep(lt *lattice) (*emStats, float64) {
 			}
 		}
 	}
-	return st, post.loglik
+	return st, ll
 }
 
 // mstep re-estimates the parameters from the statistics (§5.2.3 steps
@@ -93,19 +90,26 @@ func (m *Model) mstep(st *emStats) {
 }
 
 // FitContext runs EM to convergence (or MaxIter) and returns the
-// final log-likelihood and the iteration count. Cancellation is
-// checked once per EM iteration, so an uncancelled run performs a
-// deterministic iteration sequence while a cancelled one returns
-// ctx.Err() within one iteration.
+// final log-likelihood and the iteration count. It builds one lattice
+// workspace for the instance, which every iteration reuses, so no
+// iteration allocates. Cancellation is checked once per EM iteration,
+// so an uncancelled run performs a deterministic iteration sequence
+// while a cancelled one returns ctx.Err() within one iteration.
 func (m *Model) FitContext(ctx context.Context, inst Instance) (loglik float64, iters int, err error) {
+	return m.fit(ctx, newLattice(m, inst))
+}
+
+// fit runs FitContext's EM loop on lt and leaves its emissions
+// refreshed for the final parameters.
+func (m *Model) fit(ctx context.Context, lt *lattice) (loglik float64, iters int, err error) {
 	prev := math.Inf(-1)
 	for iters = 1; iters <= m.params.MaxIter; iters++ {
 		if err := ctx.Err(); err != nil {
 			return loglik, iters - 1, err
 		}
-		lt := newLattice(m, inst)
 		st, ll := m.estep(lt)
 		m.mstep(st)
+		lt.refresh()
 		loglik = ll
 		if !math.IsInf(prev, -1) {
 			denom := math.Abs(prev)
@@ -149,8 +153,12 @@ type Result struct {
 
 // SegmentContext learns a model for the instance with EM and returns
 // the MAP segmentation — the probabilistic pipeline of §5 end to end.
-// Cancellation aborts the EM loop at an iteration boundary and is
-// re-checked before the final decode, returning ctx.Err().
+// EM and the final decode share one lattice workspace: Viterbi and the
+// confidence pass run on the fitted lattice, whose emissions EM left
+// refreshed for the learned parameters. Cancellation aborts the EM loop
+// at an iteration boundary and is re-checked before the final decode,
+// returning ctx.Err(). A model that gives every segmentation zero
+// probability is an error.
 func SegmentContext(ctx context.Context, inst Instance, params Params) (*Result, error) {
 	if err := validate(inst); err != nil {
 		return nil, err
@@ -164,19 +172,22 @@ func SegmentContext(ctx context.Context, inst Instance, params Params) (*Result,
 		cols = deriveColumns(inst)
 	}
 	m := NewModel(inst.NumRecords, cols, params)
-	ll, iters, err := m.FitContext(ctx, inst)
+	lt := newLattice(m, inst)
+	ll, iters, err := m.fit(ctx, lt)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	lt := newLattice(m, inst)
-	records, columns, mapLP := lt.viterbi()
-	post := lt.forwardBackward()
+	records, columns, mapLP, err := lt.viterbi()
+	if err != nil {
+		return nil, err
+	}
+	lt.forwardBackward()
 	confidence := make([]float64, len(records))
 	for i := range records {
-		confidence[i] = post.gamma[i][records[i]*m.C+columns[i]]
+		confidence[i] = lt.gamma[i][records[i]*m.C+columns[i]]
 	}
 	return &Result{
 		Records:    records,

@@ -153,20 +153,22 @@ func NewModel(k, c int, params Params) *Model {
 
 // hazard returns P(record ends | current column c).
 func (m *Model) hazard(c int) float64 {
-	if !m.params.PeriodModel {
-		// Figure 2 variant: a flat, structure-free continuation model.
-		return 1.0 / float64(m.C)
+	// Figure 2 variant: a flat, structure-free continuation model.
+	h := 1.0 / float64(m.C)
+	if m.params.PeriodModel {
+		num := m.Pi[c]
+		den := 0.0
+		for ci := c; ci < m.C; ci++ {
+			den += m.Pi[ci]
+		}
+		if den < 1e-12 {
+			return 1.0
+		}
+		h = num / den
 	}
-	num := m.Pi[c]
-	den := 0.0
-	for ci := c; ci < m.C; ci++ {
-		den += m.Pi[ci]
-	}
-	if den < 1e-12 {
-		return 1.0
-	}
-	h := num / den
-	// Keep the chain mixing: never fully absorb or fully forbid.
+	// Keep the chain mixing: never fully absorb or fully forbid. (The
+	// flat hazard of a single column is 1, which would forbid every
+	// record longer than one extract.)
 	if h < 1e-4 {
 		h = 1e-4
 	}

@@ -165,8 +165,8 @@ func TestGammaNormalized(t *testing.T) {
 	p := DefaultParams()
 	m := NewModel(inst.NumRecords, deriveColumns(inst), p)
 	lt := newLattice(m, inst)
-	post := lt.forwardBackward()
-	for i, g := range post.gamma {
+	ll := lt.forwardBackward()
+	for i, g := range lt.gamma {
 		s := 0.0
 		for _, v := range g {
 			s += v
@@ -175,8 +175,8 @@ func TestGammaNormalized(t *testing.T) {
 			t.Errorf("gamma[%d] sums to %g", i, s)
 		}
 	}
-	if math.IsNaN(post.loglik) || math.IsInf(post.loglik, 1) {
-		t.Errorf("loglik = %v", post.loglik)
+	if math.IsNaN(ll) || math.IsInf(ll, 1) {
+		t.Errorf("loglik = %v", ll)
 	}
 }
 
@@ -431,9 +431,9 @@ func TestConfidenceIsMAPPosterior(t *testing.T) {
 	}
 	// Recompute posteriors under the returned model.
 	lt := newLattice(res.Model, inst)
-	post := lt.forwardBackward()
+	lt.forwardBackward()
 	for i := range res.Records {
-		want := post.gamma[i][res.Records[i]*res.Model.C+res.Columns[i]]
+		want := lt.gamma[i][res.Records[i]*res.Model.C+res.Columns[i]]
 		if math.Abs(res.Confidence[i]-want) > 1e-12 {
 			t.Errorf("confidence[%d] = %.15f, posterior %.15f", i, res.Confidence[i], want)
 		}

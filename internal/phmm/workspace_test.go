@@ -1,0 +1,199 @@
+package phmm
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"tableseg/internal/token"
+)
+
+// randomInstance draws an instance of up to 25 records and 120
+// extracts, laid out in record order with noisy candidate sets (empty,
+// random, or the true record plus an occasional stray), and parameters
+// with the period model on or off and the column count set or derived.
+func randomInstance(rng *rand.Rand) (Instance, Params) {
+	k := 1 + rng.Intn(25)
+	n := 1 + rng.Intn(120)
+	pool := []token.Type{
+		token.TypeOf("Name"), token.TypeOf("123"), token.TypeOf("lower"),
+		token.TypeOf("CAPS"), token.TypeOf("(740)") | token.TypeOf("335-5555"),
+		token.TypeOf("John") | token.TypeOf("Smith"),
+	}
+	inst := Instance{NumRecords: k}
+	for i := 0; i < n; i++ {
+		inst.TypeVecs = append(inst.TypeVecs, pool[rng.Intn(len(pool))].Vector())
+		in := make([]bool, k)
+		switch rng.Intn(6) {
+		case 0: // no evidence
+		case 1:
+			for j := 0; j <= rng.Intn(3); j++ {
+				in[rng.Intn(k)] = true
+			}
+		default:
+			in[i*k/n] = true
+			if rng.Intn(3) == 0 {
+				in[rng.Intn(k)] = true
+			}
+		}
+		var cands []int
+		for r, ok := range in {
+			if ok {
+				cands = append(cands, r)
+			}
+		}
+		inst.Candidates = append(inst.Candidates, cands)
+	}
+	p := DefaultParams()
+	p.PeriodModel = rng.Intn(2) == 0
+	if rng.Intn(2) == 0 {
+		p.MaxColumns = 2 + rng.Intn(6)
+	}
+	p.Seed = rng.Int63()
+	return inst, p
+}
+
+// segmentFresh is the reference for the reused workspace: SegmentContext
+// with a new lattice for every EM iteration, for the decode and for the
+// confidence pass, so every buffer starts zeroed.
+func segmentFresh(inst Instance, params Params) (*Result, error) {
+	params = params.withDefaults()
+	cols := params.MaxColumns
+	if cols == 0 {
+		cols = deriveColumns(inst)
+	}
+	m := NewModel(inst.NumRecords, cols, params)
+	res := &Result{Model: m}
+	prev := math.Inf(-1)
+	for res.Iters = 1; res.Iters <= params.MaxIter; res.Iters++ {
+		st, ll := m.estep(newLattice(m, inst))
+		m.mstep(st)
+		res.LogLik = ll
+		if !math.IsInf(prev, -1) && math.Abs(ll-prev)/math.Max(math.Abs(prev), 1) < params.Tol {
+			break
+		}
+		prev = ll
+	}
+	res.Iters = min(res.Iters, params.MaxIter)
+	var err error
+	res.Records, res.Columns, res.MAPLogProb, err = newLattice(m, inst).viterbi()
+	if err != nil {
+		return nil, err
+	}
+	lt := newLattice(m, inst)
+	lt.forwardBackward()
+	for i, r := range res.Records {
+		res.Confidence = append(res.Confidence, lt.gamma[i][r*m.C+res.Columns[i]])
+	}
+	return res, nil
+}
+
+// sameBits reports whether a and b hold bit-identical floats.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReusedLatticeMatchesFreshLattices fits and decodes each random
+// instance on one reused lattice and on fresh ones: any buffer a pass
+// leaves dirty for the next shows up as a differing bit.
+func TestReusedLatticeMatchesFreshLattices(t *testing.T) {
+	rng := testRNG(31)
+	for trial := 0; trial < 200; trial++ {
+		inst, p := randomInstance(rng)
+		p.MaxIter = 8 // a dirty buffer shows from the second iteration on
+		got, err := segment(inst, p)
+		want, werr := segmentFresh(inst, p)
+		if errors.Is(err, errNoPath) && errors.Is(werr, errNoPath) {
+			continue
+		}
+		if err != nil || werr != nil {
+			t.Fatalf("trial %d: errors %v, reference %v", trial, err, werr)
+		}
+		if got.Iters != want.Iters ||
+			!sameBits([]float64{got.LogLik, got.MAPLogProb}, []float64{want.LogLik, want.MAPLogProb}) {
+			t.Fatalf("trial %d: iters %d loglik %v map %v, reference %d %v %v", trial,
+				got.Iters, got.LogLik, got.MAPLogProb, want.Iters, want.LogLik, want.MAPLogProb)
+		}
+		if !slices.Equal(got.Records, want.Records) || !slices.Equal(got.Columns, want.Columns) ||
+			!sameBits(got.Confidence, want.Confidence) {
+			t.Fatalf("trial %d: decode differs from the reference", trial)
+		}
+		gm, wm := got.Model, want.Model
+		for c := 0; c < gm.C; c++ {
+			if !sameBits(gm.Theta[c], wm.Theta[c]) || !sameBits(gm.Trans[c], wm.Trans[c]) {
+				t.Fatalf("trial %d: column %d parameters differ from the reference", trial, c)
+			}
+		}
+		if !sameBits(gm.Pi, wm.Pi) {
+			t.Fatalf("trial %d: Pi %v, reference %v", trial, gm.Pi, wm.Pi)
+		}
+	}
+}
+
+// flat copies rows into one slice.
+func flat(rows [][]float64) []float64 {
+	var out []float64
+	for _, row := range rows {
+		out = append(out, row...)
+	}
+	return out
+}
+
+// TestForwardBackwardRepeatable runs the pass twice on one lattice: the
+// second must reproduce the first's posteriors exactly.
+func TestForwardBackwardRepeatable(t *testing.T) {
+	inst := superpagesInstance()
+	m := NewModel(inst.NumRecords, deriveColumns(inst), DefaultParams())
+	lt := newLattice(m, inst)
+	ll := lt.forwardBackward()
+	gamma, xi, endC := flat(lt.gamma), flat(lt.xiCont), append([]float64(nil), lt.endC...)
+	ll2 := lt.forwardBackward()
+	if !sameBits([]float64{ll}, []float64{ll2}) || !sameBits(gamma, flat(lt.gamma)) ||
+		!sameBits(xi, flat(lt.xiCont)) || !sameBits(endC, lt.endC) {
+		t.Fatal("a second pass on the same lattice changed the posteriors")
+	}
+}
+
+// TestEMIterationAllocatesNothing: once the workspace exists, an EM
+// iteration (refresh, E-step, M-step) allocates nothing.
+func TestEMIterationAllocatesNothing(t *testing.T) {
+	inst := superpagesInstance()
+	m := NewModel(inst.NumRecords, deriveColumns(inst), DefaultParams())
+	lt := newLattice(m, inst)
+	allocs := testing.AllocsPerRun(10, func() {
+		lt.refresh()
+		st, _ := m.estep(lt)
+		m.mstep(st)
+	})
+	if allocs != 0 {
+		t.Fatalf("one EM iteration allocates %v times", allocs)
+	}
+}
+
+// TestSegmentOverflowedMessagesIsAnError: on one record of 80 identical
+// extracts in two columns, the backward messages overflow during EM and
+// NaN reaches the parameters. The decode must report that no path
+// survives rather than backtrack through an unset pointer.
+func TestSegmentOverflowedMessagesIsAnError(t *testing.T) {
+	var inst Instance
+	inst.NumRecords = 1
+	for i := 0; i < 80; i++ {
+		inst.TypeVecs = append(inst.TypeVecs, typeVec(token.TypeOf("Solo")))
+		inst.Candidates = append(inst.Candidates, []int{0})
+	}
+	p := DefaultParams()
+	p.MaxColumns = 2
+	if res, err := segment(inst, p); !errors.Is(err, errNoPath) {
+		t.Fatalf("got %+v, %v; want errNoPath", res, err)
+	}
+}

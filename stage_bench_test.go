@@ -2,8 +2,9 @@ package tableseg
 
 // Per-stage microbenchmarks over the stage graph (internal/stage): one
 // benchmark per pipeline stage on a representative generated site, one
-// solver benchmark per registry entry on the same Problem, and one WSAT
-// restart inside the CSP solver. `make bench` exports their results as
+// solver benchmark per registry entry on the same Problem, one WSAT
+// restart inside the CSP solver and one EM iteration inside the
+// probabilistic solver. `make bench` exports their results as
 // BENCH_stages.json (via cmd/benchjson) so stage-level regressions show
 // up as structured diffs; `make bench-check` fails when allocs/op grow
 // past it, and CI smoke-runs them with -benchtime=1x.
@@ -15,6 +16,7 @@ import (
 	"tableseg/internal/core"
 	"tableseg/internal/csp"
 	"tableseg/internal/experiments"
+	"tableseg/internal/phmm"
 	"tableseg/internal/sitegen"
 	"tableseg/internal/solvers"
 	"tableseg/internal/stage"
@@ -238,6 +240,32 @@ func BenchmarkSolverWSATRestart(b *testing.B) {
 		sol, err := csp.SolveWSATContext(context.Background(), enc.Problem, params)
 		if err != nil || !sol.Feasible || sol.SoftPenalty == 0 {
 			b.Fatalf("err %v, solution %+v", err, sol)
+		}
+	}
+}
+
+// BenchmarkSolverEMIteration times the probabilistic solver's lattice
+// workspace set-up plus one EM iteration (an E-step and an M-step):
+// phmm.NewModel and FitContext with MaxIter 1, on the fixture's Problem
+// with the column count the solver derives for it.
+func BenchmarkSolverEMIteration(b *testing.B) {
+	f := newStageFixture(b, "allegheny", 0)
+	inst := phmm.Instance{
+		NumRecords: f.prob.NumRecords,
+		Candidates: f.prob.Candidates,
+		TypeVecs:   f.prob.TypeVecs,
+	}
+	params := core.DefaultOptions(core.Probabilistic).PHMMParams
+	res, err := phmm.SegmentContext(context.Background(), inst, params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	params.MaxIter = 1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := phmm.NewModel(inst.NumRecords, res.Model.C, params)
+		if _, iters, err := m.FitContext(context.Background(), inst); err != nil || iters != 1 {
+			b.Fatalf("iters %d, err %v", iters, err)
 		}
 	}
 }

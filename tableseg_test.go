@@ -287,3 +287,23 @@ func TestWriteCSVPadsToHeader(t *testing.T) {
 		t.Error("padding cells are not empty")
 	}
 }
+
+// TestProbabilisticSingleColumn segments with one column under the
+// Figure 2 flat hazard, options Validate accepts. That hazard, 1/C, is
+// 1 at one column and would leave no path through a record of two or
+// more extracts; it must be clamped like the period model's.
+func TestProbabilisticSingleColumn(t *testing.T) {
+	opts := DefaultOptions(Probabilistic)
+	opts.PHMMParams.MaxColumns = 1
+	opts.PHMMParams.PeriodModel = false
+	if err := opts.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := Segment(exampleInput(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seg.Records) != 15 {
+		t.Fatalf("%d records, want 15", len(seg.Records))
+	}
+}

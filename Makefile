@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json lint-sarif update-locks serve-smoke resume-smoke check bench bench-stages bench-check experiments results corpus cover fuzz clean
+.PHONY: all build test vet lint lint-json lint-sarif update-locks serve-smoke resume-smoke results-check check bench bench-stages bench-check experiments results corpus cover fuzz clean
 
 all: build check
 
@@ -83,6 +83,12 @@ results:
 	$(GO) run ./cmd/experiments -extensions > results/extensions.txt
 	$(GO) run ./cmd/experiments -scale > results/scale.txt
 	$(GO) run ./cmd/experiments -seeds 42,43,44,45 > results/seeds.txt
+
+# Regenerate every reference output under ./results except scale.txt
+# (its time column is wall-clock) into a temporary directory and diff
+# it against the committed files: any difference fails.
+results-check:
+	./scripts/results-check.sh
 
 # The stage/solver microbenchmarks, as bench-check gates them: a fixed
 # iteration count, and the garbage collector off in the test binary

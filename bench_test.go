@@ -324,19 +324,6 @@ func BenchmarkWSAT(b *testing.B) {
 	}
 }
 
-// BenchmarkDetailIndexing measures building the detail-page match index
-// (the inner loop of observation-matrix construction).
-func BenchmarkDetailIndexing(b *testing.B) {
-	site := sitegen.Generate(mustProfile(b, "canada411"), experiments.DefaultSeed)
-	detail := token.Tokenize(site.Lists[0].Details[0])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if di := extract.IndexDetail(detail); di.NumWords() == 0 {
-			b.Fatal("empty index")
-		}
-	}
-}
-
 // BenchmarkExactSolver measures the complete DFS solver on the worked
 // example (UNSAT certification path).
 func BenchmarkExactSolver(b *testing.B) {
@@ -350,13 +337,12 @@ func BenchmarkExactSolver(b *testing.B) {
 	}
 }
 
-// BenchmarkViterbiDecode measures MAP decoding alone (inference without
-// EM) on a 20-record instance.
-func BenchmarkViterbiDecode(b *testing.B) {
+// BenchmarkPHMMSegment measures one whole probabilistic segmentation
+// of a 20-record instance: the EM fit to convergence plus the MAP
+// decode (BenchmarkSolverEMIteration times one EM iteration alone).
+func BenchmarkPHMMSegment(b *testing.B) {
 	inst := phmmInstance()
 	params := phmm.DefaultParams()
-	m := phmm.NewModel(inst.NumRecords, 4, params)
-	m.FitContext(context.Background(), inst)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := phmm.SegmentContext(context.Background(), inst, params)

@@ -29,6 +29,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -234,18 +235,39 @@ func (e *Engine) doOnce(k artifact.Key, compute func() any) (val any, joined boo
 
 // cacheView is one task's window onto the engine's artifact store: it
 // implements stage.TokenCache and counts the task's hits and misses
-// (the store is engine-global and unaware of tasks). Not safe for
-// concurrent use; each task owns one.
+// (the store is engine-global and unaware of tasks). It takes each
+// page's token key from the digests the task computed when it started,
+// so a lookup never hashes a page again. Not safe for concurrent use;
+// each task owns one.
 type cacheView struct {
-	eng          *Engine
+	eng *Engine
+	// digests maps the HTML of each of the task's pages to its SHA-256.
+	digests      map[string][sha256.Size]byte
 	hits, misses int
+}
+
+func newCacheView(e *Engine, in core.Input, d pageDigests) *cacheView {
+	v := &cacheView{eng: e, digests: make(map[string][sha256.Size]byte, len(d.lists)+len(d.details))}
+	for i, p := range in.ListPages {
+		v.digests[p.HTML] = d.lists[i]
+	}
+	for i, p := range in.DetailPages {
+		v.digests[p.HTML] = d.details[i]
+	}
+	return v
 }
 
 // Tokens implements stage.TokenCache: serve the page's token stream
 // from the store, or tokenize once (deduplicated across concurrent
 // tasks) and store the encoded stream.
 func (v *cacheView) Tokens(p core.Page) []token.Token {
-	k := tokenKey(p.HTML)
+	sum, ok := v.digests[p.HTML]
+	if !ok {
+		// The pipeline asks only for the task's own pages; digest any
+		// other page here rather than miskey it.
+		sum = digestPages([]core.Page{p})[0]
+	}
+	k := tokenKey(sum)
 	if data, ok := v.eng.store.Get(k); ok {
 		if toks, err := stage.DecodeTokens(data); err == nil {
 			v.hits++
@@ -352,30 +374,72 @@ func (e *Engine) CachedSites() int {
 	return len(e.sitesSeen)
 }
 
-// tokenKey addresses a page's serialized token stream by its HTML
-// content hash.
-func tokenKey(html string) artifact.Key {
-	return artifact.Key{
-		Kind:    artifact.KindTokens,
-		Version: stage.CodecVersion,
-		Hash:    sha256.Sum256([]byte(html)),
+// digestPages returns the SHA-256 of each page's HTML, in order. The
+// hash reads each page through a small fixed buffer, so no page is
+// ever copied whole into a []byte.
+func digestPages(pages []core.Page) [][sha256.Size]byte {
+	sums := make([][sha256.Size]byte, len(pages))
+	h := sha256.New()
+	var buf [1024]byte
+	for i, p := range pages {
+		h.Reset()
+		for html := p.HTML; len(html) > 0; {
+			n := copy(buf[:], html)
+			h.Write(buf[:n])
+			html = html[n:]
+		}
+		h.Sum(sums[i][:0])
+	}
+	return sums
+}
+
+// pageDigests are the SHA-256 digests of one task's pages. A task takes
+// them once, when it starts, and derives every cache key from them.
+type pageDigests struct {
+	lists, details [][sha256.Size]byte
+}
+
+func digestInput(in core.Input) pageDigests {
+	return pageDigests{lists: digestPages(in.ListPages), details: digestPages(in.DetailPages)}
+}
+
+// writeDigests hashes a count followed by that many digests. The digests
+// have a fixed size, so the encoding is unambiguous.
+func writeDigests(h hash.Hash, sums [][sha256.Size]byte) {
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(sums)))
+	h.Write(n[:])
+	for i := range sums {
+		h.Write(sums[i][:])
 	}
 }
 
-// templateKey addresses a site's induced template by the content hash
-// of its ordered sample list pages (not their names): two tasks share
-// a template exactly when their sample list pages are byte-identical
-// in order.
-func templateKey(lists []core.Page) artifact.Key {
+// inputHash is the content hash of the whole input: the list-page digests
+// in order, the target index, then the detail-page digests in order.
+func (d pageDigests) inputHash(target int) (sum [sha256.Size]byte) {
 	h := sha256.New()
+	writeDigests(h, d.lists)
 	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(lists)))
+	binary.LittleEndian.PutUint64(n[:], uint64(target))
 	h.Write(n[:])
-	for _, p := range lists {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p.HTML)))
-		h.Write(n[:])
-		h.Write([]byte(p.HTML))
-	}
+	writeDigests(h, d.details)
+	h.Sum(sum[:0])
+	return sum
+}
+
+// tokenKey addresses a page's serialized token stream by its digest,
+// the SHA-256 of its HTML.
+func tokenKey(sum [sha256.Size]byte) artifact.Key {
+	return artifact.Key{Kind: artifact.KindTokens, Version: stage.CodecVersion, Hash: sum}
+}
+
+// templateKey addresses a site's induced template by the digests of its
+// ordered sample list pages (not their names): two tasks share a
+// template exactly when their sample list pages are byte-identical in
+// order.
+func templateKey(lists [][sha256.Size]byte) artifact.Key {
+	h := sha256.New()
+	writeDigests(h, lists)
 	k := artifact.Key{Kind: artifact.KindTemplate, Version: stage.CodecVersion}
 	h.Sum(k.Hash[:0])
 	return k
@@ -386,38 +450,27 @@ func templateKey(lists []core.Page) artifact.Key {
 // in order. Two inputs share a key exactly when the engine would
 // compute byte-identical segmentations for them under equal options,
 // which makes the key the natural unit for request coalescing in a
-// server — concurrent identical submissions can share one computation —
-// and, combined with an options fingerprint, for the result journal.
+// server — concurrent identical submissions can share one computation.
+// It hashes each page's SHA-256 digest rather than the page itself, as
+// the engine's own keys do; the result journal keys on the same hash
+// combined with an options fingerprint.
 func InputKey(in core.Input) string {
-	h := sha256.New()
-	var n [8]byte
-	writeBlock := func(pages []core.Page) {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(pages)))
-		h.Write(n[:])
-		for _, p := range pages {
-			binary.LittleEndian.PutUint64(n[:], uint64(len(p.HTML)))
-			h.Write(n[:])
-			h.Write([]byte(p.HTML))
-		}
-	}
-	writeBlock(in.ListPages)
-	binary.LittleEndian.PutUint64(n[:], uint64(in.Target))
-	h.Write(n[:])
-	writeBlock(in.DetailPages)
-	return hex.EncodeToString(h.Sum(nil))
+	sum := digestInput(in).inputHash(in.Target)
+	return hex.EncodeToString(sum[:])
 }
 
 // prepFor returns the site prep for a task's list pages — decoded from
 // the store when the template was cached (possibly by an earlier
 // process), computed and stored otherwise — and reports whether the
-// prep was reused. The view (nil only when caching is off) routes all
+// prep was reused. listSums are the list pages' digests (nil when
+// caching is off). The view (nil only when caching is off) routes all
 // tokenization through the artifact store, so a site's list pages also
 // serve later detail-page lookups.
-func (e *Engine) prepFor(lists []core.Page, view *cacheView) (*core.SitePrep, bool) {
+func (e *Engine) prepFor(lists []core.Page, listSums [][sha256.Size]byte, view *cacheView) (*core.SitePrep, bool) {
 	if !e.caching {
 		return core.PrepareSite(lists, nil), false
 	}
-	k := templateKey(lists)
+	k := templateKey(listSums)
 	e.mu.Lock()
 	e.sitesSeen[k] = struct{}{}
 	e.mu.Unlock()
@@ -456,9 +509,15 @@ func (e *Engine) runTask(ctx context.Context, t Task, idx int) Result {
 	if t.Options != nil {
 		opts = *t.Options
 	}
-	var rkey artifact.Key
+	// With caching on, each page is hashed once, here; every key of
+	// the task derives from these digests.
+	var (
+		sums pageDigests
+		rkey artifact.Key
+	)
 	if e.caching {
-		rkey = resultKey(t.Input, opts)
+		sums = digestInput(t.Input)
+		rkey = resultKey(sums.inputHash(t.Input.Target), opts)
 		if e.resume {
 			if cached, ok := e.lookupResult(rkey); ok {
 				cached.Index, cached.ID = idx, t.ID
@@ -473,7 +532,7 @@ func (e *Engine) runTask(ctx context.Context, t Task, idx int) Result {
 	env := core.Env{Stats: &res.Stats.Stats, Observer: e.observer}
 	var view *cacheView
 	if e.caching {
-		view = &cacheView{eng: e}
+		view = newCacheView(e, t.Input, sums)
 		env.Tokens = view
 	}
 	if len(t.Input.ListPages) > 0 {
@@ -481,7 +540,7 @@ func (e *Engine) runTask(ctx context.Context, t Task, idx int) Result {
 		// induction through doOnce; the losers wait out the winner's
 		// bounded induction rather than redo it under cancellation.
 		//tableseglint:ignore ctxflow template induction is deduplicated via doOnce and bounded; cancellation applies to the segmentation that follows
-		env.Prep, res.Stats.TemplateCacheHit = e.prepFor(t.Input.ListPages, view)
+		env.Prep, res.Stats.TemplateCacheHit = e.prepFor(t.Input.ListPages, sums.lists, view)
 	}
 	res.Seg, res.Err = core.SegmentEnv(ctx, t.Input, opts, env)
 	if view != nil {

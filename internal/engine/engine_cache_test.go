@@ -4,13 +4,18 @@ package engine_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"tableseg/internal/artifact"
 	"tableseg/internal/core"
 	"tableseg/internal/engine"
+	"tableseg/internal/stage"
 )
 
 // tierByName extracts one tier's snapshot from a CacheStats.
@@ -328,5 +333,101 @@ func TestEngineCacheStatsConcurrentAccuracy(t *testing.T) {
 	mem := tierByName(t, cs, "memory")
 	if mem.Hits+mem.Misses != lookups {
 		t.Errorf("memory tier saw %d lookups, engine counted %d", mem.Hits+mem.Misses, lookups)
+	}
+}
+
+// keyRecorder is a store that records every key the engine looks up.
+type keyRecorder struct {
+	artifact.Store
+	mu   sync.Mutex
+	gets []artifact.Key
+}
+
+func (r *keyRecorder) Get(k artifact.Key) ([]byte, bool) {
+	r.mu.Lock()
+	r.gets = append(r.gets, k)
+	r.mu.Unlock()
+	return r.Store.Get(k)
+}
+
+// lookups runs one task per input, in order, on a fresh engine over a
+// recording store and returns the keys of the given kind it looked up.
+func lookups(t *testing.T, kind artifact.Kind, inputs ...core.Input) []artifact.Key {
+	t.Helper()
+	rec := &keyRecorder{Store: artifact.NewMemory(0)}
+	eng, err := engine.New(engine.Config{Options: core.DefaultOptions(core.CSP), Concurrency: 1, Store: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range inputs {
+		runTasks(context.Background(), eng, []engine.Task{{Input: in}})
+	}
+	var keys []artifact.Key
+	for _, k := range rec.gets {
+		if k.Kind == kind {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// TestEngineTokenKeyIsPageDigest pins the token key to the SHA-256 of
+// the page's HTML, the value older builds wrote to the disk tier, so
+// their token artifacts keep hitting.
+func TestEngineTokenKeyIsPageDigest(t *testing.T) {
+	in := siteInput(t, "allegheny", 0)
+	want := map[[sha256.Size]byte]bool{}
+	for _, p := range append(slices.Clone(in.ListPages), in.DetailPages...) {
+		want[sha256.Sum256([]byte(p.HTML))] = true
+	}
+	got := map[[sha256.Size]byte]bool{}
+	for _, k := range lookups(t, artifact.KindTokens, in) {
+		if k.Version != stage.CodecVersion {
+			t.Errorf("token key version %d, want %d", k.Version, stage.CodecVersion)
+		}
+		got[k.Hash] = true
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("token keys are not the pages' SHA-256 digests: got %d keys, want %d", len(got), len(want))
+	}
+}
+
+// TestEngineTemplateKeyFollowsListBytes pins what the template key
+// depends on: the list pages' bytes and their order, and nothing else.
+func TestEngineTemplateKeyFollowsListBytes(t *testing.T) {
+	in := siteInput(t, "allegheny", 0)
+	withLists := func(lists ...string) core.Input {
+		out := in
+		out.ListPages = make([]core.Page, len(lists))
+		for i, html := range lists {
+			out.ListPages[i] = core.Page{Name: fmt.Sprintf("list-%d", i), HTML: html}
+		}
+		return out
+	}
+	a, b := in.ListPages[0].HTML, in.ListPages[1].HTML
+	cases := []struct {
+		name string
+		in   core.Input
+		same bool
+	}{
+		{"renamed list pages", withLists(a, b), true},
+		{"other target and detail pages", siteInput(t, "allegheny", 1), true},
+		{"list pages swapped", withLists(b, a), false},
+		{"list page edited", withLists(a+" ", b), false},
+		{"byte moved across the list-page boundary", withLists(a[:len(a)-1], a[len(a)-1:]+b), false},
+		{"list page dropped", withLists(a), false},
+	}
+	inputs := []core.Input{in}
+	for _, c := range cases {
+		inputs = append(inputs, c.in)
+	}
+	keys := lookups(t, artifact.KindTemplate, inputs...)
+	if len(keys) != len(inputs) {
+		t.Fatalf("%d template lookups for %d tasks", len(keys), len(inputs))
+	}
+	for i, c := range cases {
+		if same := keys[i+1] == keys[0]; same != c.same {
+			t.Errorf("%s: template key unchanged = %v, want %v", c.name, same, c.same)
+		}
 	}
 }

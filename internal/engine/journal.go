@@ -22,13 +22,13 @@ const resultEnvelopeVersion = 1
 const resultVersion = uint16(stage.CodecVersion)<<8 | resultEnvelopeVersion
 
 // resultKey addresses a task's journaled result by the content hash of
-// its whole input plus a fingerprint of the effective options: two
-// tasks share a journal entry exactly when the engine is guaranteed to
-// compute byte-identical segmentations for them.
-func resultKey(in core.Input, opts core.Options) artifact.Key {
+// its whole input (the hash InputKey renders in hex) plus a fingerprint
+// of the effective options: two tasks share a journal entry exactly
+// when the engine is guaranteed to compute byte-identical segmentations
+// for them.
+func resultKey(inputHash [sha256.Size]byte, opts core.Options) artifact.Key {
 	h := sha256.New()
-	h.Write([]byte(InputKey(in)))
-	h.Write([]byte{0})
+	h.Write(inputHash[:])
 	// Options (including the nested solver parameter structs) are plain
 	// scalar data, so the %#v rendering is a complete, deterministic
 	// fingerprint: any field change — method, solver, thresholds, seeds

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -125,37 +126,52 @@ func TestExtractTypeAccessors(t *testing.T) {
 	}
 }
 
-func TestDetailIndexFindIgnoresSeparators(t *testing.T) {
+// observeWords runs Observe for one extract per query (built straight
+// from its words) against a single detail page.
+func observeWords(detail []token.Token, queries ...[]string) []Observation {
+	ex := make([]Extract, len(queries))
+	for i, q := range queries {
+		ex[i] = Extract{Index: i, Words: q}
+	}
+	return Observe(ex, [][]token.Token{detail}, nil)
+}
+
+func TestObserveIgnoresSeparators(t *testing.T) {
 	// The paper's footnote: "FirstName LastName" on the list page must
 	// match "FirstName <br> LastName" on the detail page.
 	detail := token.Tokenize(`<html><body>John<br>Smith lives at<br>221 Washington</body></html>`)
-	di := IndexDetail(detail)
-	if !di.Contains([]string{"John", "Smith"}) {
-		t.Error("separator-intervened match failed")
+	obs := observeWords(detail,
+		[]string{"John", "Smith"},
+		[]string{"221", "Washington"},
+		[]string{"Smith", "John"},
+		[]string{"Jane"},
+		nil,
+	)
+	for i, want := range []bool{true, true, false, false, false} {
+		if got := len(obs[i].Pages) > 0; got != want {
+			t.Errorf("%q matched = %v, want %v (observation %+v)", obs[i].Extract.Words, got, want, obs[i])
+		}
 	}
-	if !di.Contains([]string{"221", "Washington"}) {
-		t.Error("plain match failed")
-	}
-	if di.Contains([]string{"Smith", "John"}) {
-		t.Error("order must matter")
-	}
-	if di.Contains([]string{"Jane"}) {
-		t.Error("absent string matched")
-	}
-	if di.Contains(nil) {
-		t.Error("empty query must not match")
+	// The separator-intervened match is reported at the stream position
+	// of its first word.
+	if occ := obs[0].Occurrences; len(occ) != 1 || detail[occ[0].Pos].Text != "John" {
+		t.Errorf("John Smith occurrences = %v", occ)
 	}
 }
 
-func TestDetailIndexPositions(t *testing.T) {
+func TestObservePositions(t *testing.T) {
 	detail := token.Tokenize(`x John Smith y John Smith`)
-	di := IndexDetail(detail)
-	pos := di.Find([]string{"John", "Smith"})
-	if len(pos) != 2 {
-		t.Fatalf("positions: %v", pos)
+	obs := observeWords(detail, []string{"John", "Smith"})
+	occ := obs[0].Occurrences
+	if len(occ) != 2 {
+		t.Fatalf("occurrences: %v", occ)
 	}
-	if pos[0] >= pos[1] {
-		t.Errorf("positions not ascending: %v", pos)
+	if occ[0].Pos >= occ[1].Pos {
+		t.Errorf("positions not ascending: %v", occ)
+	}
+	// Two sightings on one page list the page once.
+	if !reflect.DeepEqual(obs[0].Pages, []int{0}) {
+		t.Errorf("pages = %v, want [0]", obs[0].Pages)
 	}
 }
 

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"reflect"
 	"testing"
 
 	"tableseg/internal/token"
@@ -10,7 +11,8 @@ import (
 // into extracts, observe against a detail page — with arbitrary HTML
 // and checks the structural invariants every downstream solver relies
 // on: extracts are non-empty, ordered, non-overlapping, and their
-// token/byte spans stay inside the page.
+// token/byte spans stay inside the page. Observe must also agree
+// exactly with the reference implementation.
 func FuzzExtracts(f *testing.F) {
 	f.Add("<html><body><b>John Smith</b><br>221 Washington<br>(740) 335-5555</body></html>",
 		"<html><body><p>John Smith</p><p>221 Washington</p></body></html>")
@@ -47,7 +49,8 @@ func FuzzExtracts(f *testing.F) {
 
 		// Observation against an arbitrary detail page must not panic
 		// and must reference only that page (index 0).
-		obs := Observe(extracts, [][]token.Token{token.Tokenize(detailHTML)}, nil)
+		detail := token.Tokenize(detailHTML)
+		obs := Observe(extracts, [][]token.Token{detail}, nil)
 		if len(obs) != len(extracts) {
 			t.Fatalf("%d observations for %d extracts", len(obs), len(extracts))
 		}
@@ -62,6 +65,15 @@ func FuzzExtracts(f *testing.F) {
 			if ai < 0 || ai >= len(obs) {
 				t.Fatalf("InformativeSubset index %d out of range [0,%d)", ai, len(obs))
 			}
+		}
+
+		// The list page doubles as a second detail page, where every
+		// extract matches at least once, and the detail page as the
+		// other list page.
+		details := [][]token.Token{detail, page}
+		others := [][]token.Token{detail}
+		if got, want := Observe(extracts, details, others), referenceObserve(extracts, details, others); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Observe differs from the reference:\ngot  %+v\nwant %+v", got, want)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"slices"
 	"sort"
 
 	"tableseg/internal/token"
@@ -48,62 +49,90 @@ func (o *Observation) Informative(numDetailPages int) bool {
 	return len(o.Pages) < numDetailPages
 }
 
-// DetailIndex is a preprocessed detail page ready for extract matching.
-// Matching ignores intervening separators (§3.2 footnote: "FirstName
-// LastName" on the list page matches "FirstName <br> LastName" on the
-// detail page), so the index keeps only the page's non-separator word
-// tokens, remembering each word's original stream position.
-type DetailIndex struct {
-	words   []string
-	streams []int            // original token index per word
-	starts  map[string][]int // word text -> indices into words
+// extractIndex groups the extracts of one Observe call by their word
+// sequence and indexes the distinct sequences by their first word, so a
+// page is matched against every extract in one pass. Sequences compare
+// word by word rather than as joined strings: a word may hold any byte
+// but whitespace, NUL included, so no joiner is unambiguous.
+type extractIndex struct {
+	// seqs are the distinct non-empty word sequences in sorted order,
+	// so the sequences sharing a first word are contiguous.
+	seqs [][]string
+	// first maps a first word to the run of seqs starting with it.
+	first map[string]seqRun
+	// groupOf maps each extract to its index into seqs, or -1 for an
+	// extract with no words (which matches nowhere).
+	groupOf []int
 }
 
-// IndexDetail builds a matching index over a tokenized detail page.
-func IndexDetail(page []token.Token) *DetailIndex {
-	di := &DetailIndex{starts: make(map[string][]int)}
+// seqRun is the half-open range [start, end) of extractIndex.seqs.
+type seqRun struct{ start, end int }
+
+func newExtractIndex(extracts []Extract) *extractIndex {
+	ix := &extractIndex{
+		seqs:    make([][]string, 0, len(extracts)),
+		first:   make(map[string]seqRun, len(extracts)),
+		groupOf: make([]int, len(extracts)),
+	}
+	// Sorting the extracts by word sequence brings equal sequences
+	// together in O(n log n), however many share a first word.
+	order := make([]int, 0, len(extracts))
+	for i, e := range extracts {
+		ix.groupOf[i] = -1
+		if len(e.Words) > 0 {
+			order = append(order, i)
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int { return slices.Compare(extracts[a].Words, extracts[b].Words) })
+	for _, i := range order {
+		words := extracts[i].Words
+		if n := len(ix.seqs); n == 0 || !slices.Equal(ix.seqs[n-1], words) {
+			ix.seqs = append(ix.seqs, words)
+		}
+		ix.groupOf[i] = len(ix.seqs) - 1
+	}
+	for g := 0; g < len(ix.seqs); {
+		run := seqRun{start: g, end: g + 1}
+		for run.end < len(ix.seqs) && ix.seqs[run.end][0] == ix.seqs[g][0] {
+			run.end++
+		}
+		ix.first[ix.seqs[g][0]] = run
+		g = run.end
+	}
+	return ix
+}
+
+// scan matches every indexed sequence against page, ignoring
+// separators (§3.2 footnote: "FirstName LastName" on the list page
+// matches "FirstName <br> LastName" on the detail page). words is a
+// scratch buffer that scan refills with the stream indices of the
+// page's non-separator tokens and returns for reuse. hit receives each
+// match as (sequence index, stream index of its first word), in
+// position order.
+func (ix *extractIndex) scan(page []token.Token, words []int, hit func(g, pos int)) []int {
+	words = words[:0]
 	for i, t := range page {
-		if IsSeparator(t) {
-			continue
+		if !IsSeparator(t) {
+			words = append(words, i)
 		}
-		di.starts[t.Text] = append(di.starts[t.Text], len(di.words))
-		di.words = append(di.words, t.Text)
-		di.streams = append(di.streams, i)
 	}
-	return di
-}
-
-// NumWords returns the number of visible words on the indexed page.
-func (di *DetailIndex) NumWords() int { return len(di.words) }
-
-// Find returns the original-stream positions at which the word sequence
-// occurs contiguously in the page's visible text.
-func (di *DetailIndex) Find(words []string) []int {
-	if len(words) == 0 {
-		return nil
-	}
-	var out []int
-	for _, w0 := range di.starts[words[0]] {
-		if w0+len(words) > len(di.words) {
-			continue
-		}
-		ok := true
-		for k := 1; k < len(words); k++ {
-			if di.words[w0+k] != words[k] {
-				ok = false
-				break
+	for w, pos := range words {
+		run := ix.first[page[pos].Text]
+		for g := run.start; g < run.end; g++ {
+			seq := ix.seqs[g]
+			if w+len(seq) > len(words) {
+				continue
+			}
+			k := 1
+			for k < len(seq) && page[words[w+k]].Text == seq[k] {
+				k++
+			}
+			if k == len(seq) {
+				hit(g, pos)
 			}
 		}
-		if ok {
-			out = append(out, di.streams[w0])
-		}
 	}
-	return out
-}
-
-// Contains reports whether the word sequence occurs on the page.
-func (di *DetailIndex) Contains(words []string) bool {
-	return len(di.Find(words)) > 0
+	return words
 }
 
 // Observe builds observations for every extract of the target list page.
@@ -112,40 +141,58 @@ func (di *DetailIndex) Contains(words []string) bool {
 //	details      — tokenized detail pages, in record (link) order
 //	otherLists   — tokenized sample list pages other than the target,
 //	               used for the "appears on all list pages" filter
+//
+// Rather than indexing every detail page, Observe indexes the extracts
+// (few and short) and scans each page once, with one map lookup per
+// word. Matches arrive in page order and, within a page, in position
+// order, so every Pages and Occurrences list comes out sorted. Extracts
+// with identical words share one sequence and receive equal
+// observations.
 func Observe(extracts []Extract, details [][]token.Token, otherLists [][]token.Token) []Observation {
-	idx := make([]*DetailIndex, len(details))
-	for j, d := range details {
-		idx[j] = IndexDetail(d)
+	ix := newExtractIndex(extracts)
+	pages := make([][]int, len(ix.seqs))
+	occs := make([][]Occurrence, len(ix.seqs))
+	var words []int
+	for j, page := range details {
+		words = ix.scan(page, words, func(g, pos int) {
+			if n := len(pages[g]); n == 0 || pages[g][n-1] != j {
+				pages[g] = append(pages[g], j)
+			}
+			occs[g] = append(occs[g], Occurrence{Page: j, Pos: pos})
+		})
 	}
-	otherIdx := make([]*DetailIndex, len(otherLists))
-	for j, p := range otherLists {
-		otherIdx[j] = IndexDetail(p)
+	// listHits[g] counts the other list pages containing sequence g;
+	// lastList[g] is 1 + the last such page, so several matches on one
+	// page count once.
+	listHits := make([]int, len(ix.seqs))
+	lastList := make([]int, len(ix.seqs))
+	for l, page := range otherLists {
+		words = ix.scan(page, words, func(g, _ int) {
+			if lastList[g] != l+1 {
+				lastList[g] = l + 1
+				listHits[g]++
+			}
+		})
 	}
 
 	obs := make([]Observation, len(extracts))
+	handed := make([]bool, len(ix.seqs))
 	for i, e := range extracts {
-		o := Observation{Extract: e}
-		for j := range idx {
-			positions := idx[j].Find(e.Words)
-			if len(positions) == 0 {
-				continue
-			}
-			o.Pages = append(o.Pages, j)
-			for _, p := range positions {
-				o.Occurrences = append(o.Occurrences, Occurrence{Page: j, Pos: p})
-			}
+		obs[i].Extract = e
+		g := ix.groupOf[i]
+		if g < 0 {
+			continue
 		}
-		if len(otherIdx) > 0 {
-			onAll := true
-			for _, li := range otherIdx {
-				if !li.Contains(e.Words) {
-					onAll = false
-					break
-				}
-			}
-			o.OnAllListPages = onAll
+		if handed[g] {
+			// A duplicate extract gets its own copies, so no two
+			// observations share a backing array.
+			obs[i].Pages = slices.Clone(pages[g])
+			obs[i].Occurrences = slices.Clone(occs[g])
+		} else {
+			obs[i].Pages, obs[i].Occurrences = pages[g], occs[g]
+			handed[g] = true
 		}
-		obs[i] = o
+		obs[i].OnAllListPages = len(otherLists) > 0 && listHits[g] == len(otherLists)
 	}
 	return obs
 }

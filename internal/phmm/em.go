@@ -94,8 +94,16 @@ func (m *Model) mstep(st *emStats) {
 // workspace for the instance, which every iteration reuses, so no
 // iteration allocates. Cancellation is checked once per EM iteration,
 // so an uncancelled run performs a deterministic iteration sequence
-// while a cancelled one returns ctx.Err() within one iteration.
+// while a cancelled one returns ctx.Err() within one iteration. Like
+// SegmentContext, it rejects a malformed instance, and an instance with
+// no extracts has nothing to fit: it returns (0, 0, nil).
 func (m *Model) FitContext(ctx context.Context, inst Instance) (loglik float64, iters int, err error) {
+	if err := validate(inst); err != nil {
+		return 0, 0, err
+	}
+	if len(inst.TypeVecs) == 0 {
+		return 0, 0, nil
+	}
 	return m.fit(ctx, newLattice(m, inst))
 }
 

@@ -1,6 +1,7 @@
 package phmm
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -311,6 +312,20 @@ func TestSegmentEmptyInstance(t *testing.T) {
 	}
 	if len(res.Records) != 0 {
 		t.Errorf("empty instance: %v", res.Records)
+	}
+}
+
+// TestFitContextEmptyInstance: FitContext validates its instance as
+// SegmentContext does, and an instance with no extracts fits nothing
+// instead of indexing an empty lattice.
+func TestFitContextEmptyInstance(t *testing.T) {
+	m := NewModel(2, 2, DefaultParams())
+	ll, iters, err := m.FitContext(context.Background(), Instance{NumRecords: 2})
+	if err != nil || math.Abs(ll) > 0 || iters != 0 {
+		t.Errorf("FitContext(no extracts) = (%v, %d, %v), want (0, 0, nil)", ll, iters, err)
+	}
+	if _, _, err := m.FitContext(context.Background(), Instance{}); err == nil {
+		t.Error("FitContext accepted an instance with no records")
 	}
 }
 

@@ -122,12 +122,14 @@ corpus:
 cover:
 	$(GO) test -cover ./...
 
-# Short exploratory fuzzing of the HTML lexer, the extraction front
-# end, the artifact codec (decode of arbitrary bytes must error, never
+# Short exploratory fuzzing of the HTML lexer and the tokenizer (both
+# against their reference implementations), the extraction front end,
+# the artifact codec (decode of arbitrary bytes must error, never
 # panic; decodable artifacts must round-trip) and the probabilistic
 # solver (any valid instance must segment or error, never panic).
 fuzz:
 	$(GO) test -fuzz=FuzzTokenize -fuzztime=30s ./internal/htmlx
+	$(GO) test -fuzz=FuzzTokenizeMatchesReference -fuzztime=30s ./internal/token
 	$(GO) test -fuzz=FuzzExtracts -fuzztime=30s ./internal/extract
 	$(GO) test -fuzz=FuzzArtifactCodec -fuzztime=30s ./internal/stage
 	$(GO) test -fuzz=FuzzSegment -fuzztime=30s ./internal/phmm

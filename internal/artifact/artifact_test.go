@@ -80,6 +80,31 @@ func TestMemoryEvictsLRU(t *testing.T) {
 	}
 }
 
+// TestMemoryChargesCapacity checks that a payload with spare capacity
+// is charged for it, on put and on eviction: the store keeps the
+// caller's whole array.
+func TestMemoryChargesCapacity(t *testing.T) {
+	m := NewMemory(2 * (1000 + memEntryOverhead))
+	ka, kb, kc := keyOf(KindTokens, 1, "a"), keyOf(KindTokens, 1, "b"), keyOf(KindTokens, 1, "c")
+	m.Put(ka, make([]byte, 10, 1000))
+	if st := m.Stats()[0]; st.Bytes != 1000+memEntryOverhead {
+		t.Errorf("Bytes = %d, want %d", st.Bytes, 1000+memEntryOverhead)
+	}
+	m.Put(kb, make([]byte, 10, 1000))
+	m.Put(kc, make([]byte, 10))
+	if _, ok := m.Get(ka); ok {
+		t.Error("budget full of capacity, yet the oldest entry survived")
+	}
+	if st := m.Stats()[0]; st.Evictions != 1 || st.Entries != 2 || st.Bytes != 1000+10+2*memEntryOverhead {
+		t.Errorf("Stats = %+v, want 1 eviction / 2 entries / %d bytes", st, 1000+10+2*memEntryOverhead)
+	}
+	// Capacity alone larger than the budget is not retained.
+	m.Put(keyOf(KindTokens, 1, "big"), make([]byte, 1, 4000))
+	if _, ok := m.Get(keyOf(KindTokens, 1, "big")); ok {
+		t.Error("payload whose capacity exceeds the budget was retained")
+	}
+}
+
 func TestMemoryRejectsOversized(t *testing.T) {
 	m := NewMemory(128)
 	k := keyOf(KindTokens, 1, "big")

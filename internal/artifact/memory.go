@@ -17,6 +17,11 @@ const DefaultMemoryBudget = 64 << 20
 // the payload bytes, so a flood of tiny entries still respects the cap.
 const memEntryOverhead = 96
 
+// memCost is what an entry holding payload is charged: the payload's
+// capacity, not its length, since the entry keeps the whole array the
+// caller allocated, plus the bookkeeping overhead.
+func memCost(payload []byte) int64 { return int64(cap(payload)) + memEntryOverhead }
+
 // Memory is a bounded in-memory LRU store. A Get refreshes the entry's
 // recency; once the byte budget is exceeded the least recently used
 // entries are evicted. Payloads larger than the whole budget are not
@@ -68,10 +73,11 @@ func (m *Memory) Get(k Key) ([]byte, bool) {
 }
 
 // Put implements Store. The payload is retained by reference — the
-// Store contract forbids the caller from mutating it afterwards.
+// Store contract forbids the caller from mutating it afterwards — and
+// charged for its capacity.
 func (m *Memory) Put(k Key, payload []byte) {
 	m.puts.Add(1)
-	cost := int64(len(payload)) + memEntryOverhead
+	cost := memCost(payload)
 	if cost > m.budget {
 		return
 	}
@@ -94,7 +100,7 @@ func (m *Memory) Put(k Key, payload []byte) {
 		ent := back.Value.(*memEntry)
 		m.order.Remove(back)
 		delete(m.items, ent.key)
-		m.bytes -= int64(len(ent.payload)) + memEntryOverhead
+		m.bytes -= memCost(ent.payload)
 		evicted++
 	}
 	m.mu.Unlock()

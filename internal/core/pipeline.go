@@ -85,12 +85,6 @@ func SegmentContext(ctx context.Context, in Input, opts Options) (*Segmentation,
 	return SegmentEnv(ctx, in, opts, Env{})
 }
 
-// SegmentPrepared is SegmentContext with the original batch hooks,
-// kept for compatibility; new callers use SegmentEnv.
-func SegmentPrepared(ctx context.Context, in Input, opts Options, prep *SitePrep, stats *Stats) (*Segmentation, error) {
-	return SegmentEnv(ctx, in, opts, Env{Prep: prep, Stats: stats})
-}
-
 // SegmentEnv runs the stage graph over one input with the given
 // environment hooks.
 func SegmentEnv(ctx context.Context, in Input, opts Options, env Env) (*Segmentation, error) {

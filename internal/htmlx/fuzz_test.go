@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzTokenize checks the lexer's totality invariant (concatenated Raw
-// fields reproduce the input byte-for-byte) on arbitrary inputs. Run
+// fields reproduce the input byte-for-byte) and its agreement with the
+// reference lexer on arbitrary inputs. Run
 // with `go test -fuzz=FuzzTokenize ./internal/htmlx` for exploration;
 // the seed corpus runs as part of the normal test suite.
 func FuzzTokenize(f *testing.F) {
@@ -36,6 +37,9 @@ func FuzzTokenize(f *testing.F) {
 		}
 		if b.String() != s {
 			t.Fatalf("coverage broken: %q -> %q", s, b.String())
+		}
+		if _, err := matchReference(s); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -8,6 +8,10 @@
 // decodes HTML entity escape sequences into ASCII text as the paper
 // requires ("HTML escape sequences are converted to ASCII text").
 //
+// The lexer streams: Lexer.Next returns one token at a time and keeps
+// no slice of its own. It finds where each tag ends but builds nothing
+// from the tag's attributes; Token.Attr parses them from Raw on demand.
+//
 // The lexer is intentionally forgiving: real 2004-era pages (and our
 // synthetic reproductions of them) contain unquoted attributes, stray
 // '<' characters and unterminated constructs. Any malformed input still
@@ -65,26 +69,33 @@ type Token struct {
 	// Data is the payload: the decoded text for Text tokens, the
 	// lower-cased tag name for tags, the comment body for comments.
 	Data string
-	// Attrs holds tag attributes in source order (tags only).
-	Attrs []Attr
 	// Offset is the byte offset of the token in the input.
 	Offset int
 }
 
-// Attr is a single name="value" attribute on a tag.
-type Attr struct {
-	Name  string // lower-cased
-	Value string // entity-decoded; empty for valueless attributes
-}
-
 // Attr returns the value of the named attribute and whether it exists.
+// Only start and self-closing tags carry attributes. The first
+// attribute whose lower-cased name equals name wins; its value is
+// entity-decoded, and "" for a valueless attribute. Attr parses Raw on
+// every call.
 func (t *Token) Attr(name string) (string, bool) {
-	for _, a := range t.Attrs {
-		if a.Name == name {
-			return a.Value, true
+	if t.Kind != StartTag && t.Kind != SelfClosing {
+		return "", false
+	}
+	i := 1 // past '<'
+	for i < len(t.Raw) && isTagNameByte(t.Raw[i]) {
+		i++
+	}
+	sc := attrScan{src: t.Raw, pos: i}
+	for {
+		n, v, ok := sc.next()
+		if !ok {
+			return "", false
+		}
+		if strings.ToLower(n) == name {
+			return DecodeEntities(v), true
 		}
 	}
-	return "", false
 }
 
 // TagName returns the lower-cased element name for tag tokens, "" otherwise.
@@ -96,6 +107,19 @@ func (t *Token) TagName() string {
 	return ""
 }
 
+// Tokenize lexes an entire HTML document into a token slice.
+func Tokenize(src string) []Token {
+	var toks []Token
+	lx := NewLexer(src)
+	for {
+		t, ok := lx.Next()
+		if !ok {
+			return toks
+		}
+		toks = append(toks, t)
+	}
+}
+
 // rawTextTags lists elements whose content is raw text: the lexer must
 // not interpret '<' inside them as markup until the matching end tag.
 var rawTextTags = map[string]bool{
@@ -103,101 +127,109 @@ var rawTextTags = map[string]bool{
 	"style":  true,
 }
 
-// Tokenize lexes an entire HTML document into a token slice.
-func Tokenize(src string) []Token {
-	lx := &lexer{src: src}
-	return lx.run()
+// Lexer lexes one document a token at a time.
+type Lexer struct {
+	src string
+	pos int
+	// rawText is the name of the raw-text element whose content
+	// starts at pos, "" otherwise.
+	rawText string
 }
 
-type lexer struct {
-	src    string
-	pos    int
-	tokens []Token
-}
+// NewLexer returns a lexer positioned at the start of src.
+func NewLexer(src string) Lexer { return Lexer{src: src} }
 
-func (l *lexer) run() []Token {
-	for l.pos < len(l.src) {
-		if l.src[l.pos] == '<' {
-			if !l.lexMarkup() {
-				// A stray '<' that does not begin markup: treat it as text.
-				l.lexText(true)
-			}
-		} else {
-			l.lexText(false)
+// Next returns the next token, or false when the input is exhausted.
+func (l *Lexer) Next() (Token, bool) {
+	if name := l.rawText; name != "" {
+		// A raw-text element's entire content is one Text token.
+		l.rawText = ""
+		idx := indexCloseTag(l.src[l.pos:], name)
+		if idx < 0 {
+			idx = len(l.src) - l.pos
+		}
+		if idx > 0 {
+			start := l.pos
+			l.pos += idx
+			body := l.src[start:l.pos]
+			return Token{Kind: Text, Raw: body, Data: body, Offset: start}, true
 		}
 	}
-	return l.tokens
+	if l.pos >= len(l.src) {
+		return Token{}, false
+	}
+	if l.src[l.pos] == '<' {
+		if t, ok := l.lexMarkup(); ok {
+			return t, true
+		}
+		// A stray '<' that does not begin markup: treat it as text.
+		return l.lexText(true), true
+	}
+	return l.lexText(false), true
 }
 
 // lexMarkup attempts to lex a construct starting with '<' at l.pos.
 // It reports whether it consumed anything.
-func (l *lexer) lexMarkup() bool {
+func (l *Lexer) lexMarkup() (Token, bool) {
 	start := l.pos
 	rest := l.src[l.pos:]
-	switch {
-	case strings.HasPrefix(rest, "<!--"):
-		end := strings.Index(rest[4:], "-->")
-		var raw, body string
-		if end < 0 { // unterminated comment: consume to EOF
-			raw, body = rest, rest[4:]
-			l.pos = len(l.src)
-		} else {
-			raw, body = rest[:4+end+3], rest[4:4+end]
-			l.pos += 4 + end + 3
+	if len(rest) < 2 {
+		return Token{}, false
+	}
+	switch rest[1] {
+	case '!':
+		switch {
+		case strings.HasPrefix(rest, "<!--"):
+			end := strings.Index(rest[4:], "-->")
+			var raw, body string
+			if end < 0 { // unterminated comment: consume to EOF
+				raw, body = rest, rest[4:]
+			} else {
+				raw, body = rest[:4+end+3], rest[4:4+end]
+			}
+			l.pos += len(raw)
+			return Token{Kind: Comment, Raw: raw, Data: body, Offset: start}, true
+		case strings.HasPrefix(rest, "<![CDATA["):
+			// CDATA sections may contain '>' freely; they end only at "]]>".
+			end := strings.Index(rest[9:], "]]>")
+			var raw, body string
+			if end < 0 {
+				raw, body = rest, rest[9:]
+			} else {
+				raw, body = rest[:9+end+3], rest[9:9+end]
+			}
+			l.pos += len(raw)
+			// CDATA content is character data.
+			return Token{Kind: Text, Raw: raw, Data: body, Offset: start}, true
 		}
-		l.tokens = append(l.tokens, Token{Kind: Comment, Raw: raw, Data: body, Offset: start})
-		return true
-	case strings.HasPrefix(rest, "<![CDATA["):
-		// CDATA sections may contain '>' freely; they end only at "]]>".
-		end := strings.Index(rest[9:], "]]>")
-		var raw, body string
-		if end < 0 {
-			raw, body = rest, rest[9:]
-			l.pos = len(l.src)
-		} else {
-			raw, body = rest[:9+end+3], rest[9:9+end]
-			l.pos += 9 + end + 3
-		}
-		// CDATA content is character data.
-		l.tokens = append(l.tokens, Token{Kind: Text, Raw: raw, Data: body, Offset: start})
-		return true
-	case strings.HasPrefix(rest, "<!"):
-		end := strings.IndexByte(rest, '>')
-		var raw string
-		if end < 0 {
-			raw = rest
-			l.pos = len(l.src)
-		} else {
-			raw = rest[:end+1]
-			l.pos += end + 1
-		}
-		body := raw[2:]
-		body = strings.TrimSuffix(body, ">")
-		l.tokens = append(l.tokens, Token{Kind: Doctype, Raw: raw, Data: strings.TrimSpace(body), Offset: start})
-		return true
-	case strings.HasPrefix(rest, "<?"):
+		raw := l.throughGT(rest)
+		body := strings.TrimSuffix(raw[2:], ">")
+		return Token{Kind: Doctype, Raw: raw, Data: strings.TrimSpace(body), Offset: start}, true
+	case '?':
 		// Processing instruction (<?xml ...?>, PHP remnants): consume
 		// to the next '>' and drop it as a comment-like token.
-		end := strings.IndexByte(rest, '>')
-		var raw string
-		if end < 0 {
-			raw = rest
-			l.pos = len(l.src)
-		} else {
-			raw = rest[:end+1]
-			l.pos += end + 1
-		}
-		l.tokens = append(l.tokens, Token{Kind: Comment, Raw: raw, Data: strings.Trim(raw, "<?>"), Offset: start})
-		return true
-	case strings.HasPrefix(rest, "</"):
+		raw := l.throughGT(rest)
+		return Token{Kind: Comment, Raw: raw, Data: strings.Trim(raw, "<?>"), Offset: start}, true
+	case '/':
 		return l.lexTag(start, true)
-	default:
-		// A start tag must be followed by an ASCII letter.
-		if len(rest) >= 2 && isTagNameStart(rest[1]) {
-			return l.lexTag(start, false)
-		}
-		return false
 	}
+	// A start tag must be followed by an ASCII letter.
+	if isTagNameStart(rest[1]) {
+		return l.lexTag(start, false)
+	}
+	return Token{}, false
+}
+
+// throughGT consumes rest (the input from l.pos) through its first
+// '>', or to the end of the input when there is none, and returns the
+// consumed text.
+func (l *Lexer) throughGT(rest string) string {
+	raw := rest
+	if end := strings.IndexByte(rest, '>'); end >= 0 {
+		raw = rest[:end+1]
+	}
+	l.pos += len(raw)
+	return raw
 }
 
 func isTagNameStart(c byte) bool {
@@ -209,7 +241,7 @@ func isTagNameByte(c byte) bool {
 }
 
 // lexTag lexes a start or end tag beginning at offset start.
-func (l *lexer) lexTag(start int, closing bool) bool {
+func (l *Lexer) lexTag(start int, closing bool) (Token, bool) {
 	i := start + 1
 	if closing {
 		i++
@@ -219,59 +251,32 @@ func (l *lexer) lexTag(start int, closing bool) bool {
 		i++
 	}
 	if i == nameStart {
-		return false
+		return Token{}, false
 	}
 	name := strings.ToLower(l.src[nameStart:i])
 
-	// Scan attributes until '>' honoring quoted values.
-	var attrs []Attr
-	selfClose := false
-	for i < len(l.src) && l.src[i] != '>' {
-		c := l.src[i]
-		switch {
-		case c == '/' && i+1 < len(l.src) && l.src[i+1] == '>':
-			selfClose = true
-			i++
-		case isSpace(c) || c == '/':
-			i++
-		default:
-			var a Attr
-			var ok bool
-			a, i, ok = lexAttr(l.src, i)
-			if !ok {
-				i++ // skip one byte of garbage and keep going
-			} else {
-				attrs = append(attrs, a)
-			}
+	// Skip the attributes to the tag's '>', honoring quoted values.
+	sc := attrScan{src: l.src, pos: i}
+	for {
+		if _, _, ok := sc.next(); !ok {
+			break
 		}
 	}
+	i = sc.pos
 	if i < len(l.src) {
 		i++ // consume '>'
 	}
-	raw := l.src[start:i]
 	kind := StartTag
 	if closing {
 		kind = EndTag
-		attrs = nil
-	} else if selfClose {
+	} else if sc.selfClose {
 		kind = SelfClosing
 	}
 	l.pos = i
-	l.tokens = append(l.tokens, Token{Kind: kind, Raw: raw, Data: name, Attrs: attrs, Offset: start})
-
-	// Raw-text elements: emit their entire content as one Text token.
 	if kind == StartTag && rawTextTags[name] {
-		idx := indexCloseTag(l.src[l.pos:], name)
-		if idx < 0 {
-			idx = len(l.src) - l.pos
-		}
-		if idx > 0 {
-			body := l.src[l.pos : l.pos+idx]
-			l.tokens = append(l.tokens, Token{Kind: Text, Raw: body, Data: body, Offset: l.pos})
-			l.pos += idx
-		}
+		l.rawText = name
 	}
-	return true
+	return Token{Kind: kind, Raw: l.src[start:i], Data: name, Offset: start}, true
 }
 
 // indexCloseTag finds the byte offset of "</name" in src,
@@ -306,64 +311,96 @@ func isSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f'
 }
 
-// lexAttr lexes one attribute starting at i. Returns the attribute, the
-// new position, and whether an attribute was recognized.
-func lexAttr(src string, i int) (Attr, int, bool) {
+// attrScan walks the attributes of a tag whose name ends at pos. The
+// tag ends at its first '>' outside a quoted attribute value, or at
+// the end of src.
+type attrScan struct {
+	src       string
+	pos       int
+	selfClose bool // a "/>" was seen
+}
+
+// next returns the next attribute's name as written and its raw
+// (undecoded) value. At the tag's '>' or the end of src it returns
+// false and leaves pos there.
+func (a *attrScan) next() (name, value string, ok bool) {
+	src, i := a.src, a.pos
+	for i < len(src) && src[i] != '>' {
+		c := src[i]
+		switch {
+		case c == '/' && i+1 < len(src) && src[i+1] == '>':
+			a.selfClose = true
+			i++
+		case isSpace(c) || c == '/':
+			i++
+		default:
+			if name, value, next, ok := scanAttr(src, i); ok {
+				a.pos = next
+				return name, value, true
+			}
+			i++ // skip one byte of garbage and keep going
+		}
+	}
+	a.pos = i
+	return "", "", false
+}
+
+// scanAttr scans one attribute starting at i. It returns the name as
+// written, the raw value ("" when there is none), the position after
+// the attribute, and whether an attribute was recognized.
+func scanAttr(src string, i int) (name, value string, next int, ok bool) {
 	nameStart := i
 	for i < len(src) && src[i] != '=' && src[i] != '>' && src[i] != '/' && !isSpace(src[i]) {
 		i++
 	}
 	if i == nameStart {
-		return Attr{}, i, false
+		return "", "", i, false
 	}
-	a := Attr{Name: strings.ToLower(src[nameStart:i])}
+	name = src[nameStart:i]
 	// Optional whitespace around '='.
 	j := i
 	for j < len(src) && isSpace(src[j]) {
 		j++
 	}
 	if j >= len(src) || src[j] != '=' {
-		return a, i, true // valueless attribute
+		return name, "", i, true // valueless attribute
 	}
 	j++
 	for j < len(src) && isSpace(src[j]) {
 		j++
 	}
 	if j >= len(src) {
-		return a, j, true
+		return name, "", j, true
 	}
-	switch src[j] {
+	switch q := src[j]; q {
 	case '"', '\'':
-		q := src[j]
 		j++
-		valStart := j
-		for j < len(src) && src[j] != q {
-			j++
+		end := strings.IndexByte(src[j:], q)
+		if end < 0 {
+			return name, src[j:], len(src), true
 		}
-		a.Value = DecodeEntities(src[valStart:j])
-		if j < len(src) {
-			j++ // consume closing quote
-		}
+		return name, src[j : j+end], j + end + 1, true // past the closing quote
 	default:
 		valStart := j
 		for j < len(src) && !isSpace(src[j]) && src[j] != '>' {
 			j++
 		}
-		a.Value = DecodeEntities(src[valStart:j])
+		return name, src[valStart:j], j, true
 	}
-	return a, j, true
 }
 
 // lexText lexes a text run starting at l.pos. If forceFirst is true the
 // first byte is consumed unconditionally (used for stray '<').
-func (l *lexer) lexText(forceFirst bool) {
+func (l *Lexer) lexText(forceFirst bool) Token {
 	start := l.pos
 	if forceFirst {
 		l.pos++
 	}
-	for l.pos < len(l.src) && l.src[l.pos] != '<' {
-		l.pos++
+	if end := strings.IndexByte(l.src[l.pos:], '<'); end >= 0 {
+		l.pos += end
+	} else {
+		l.pos = len(l.src)
 	}
 	raw := l.src[start:l.pos]
-	l.tokens = append(l.tokens, Token{Kind: Text, Raw: raw, Data: DecodeEntities(raw), Offset: start})
+	return Token{Kind: Text, Raw: raw, Data: DecodeEntities(raw), Offset: start}
 }

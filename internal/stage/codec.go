@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"tableseg/internal/artifact"
 	"tableseg/internal/extract"
@@ -16,7 +17,7 @@ import (
 // participates in every artifact.Key, so bumping it when the format
 // (or any encoded struct's meaning) changes makes old payloads
 // unreachable — a version bump invalidates, never misreads.
-const CodecVersion = 1
+const CodecVersion = 2
 
 // codecMagic opens every encoded artifact, ahead of the kind and
 // version bytes, so a decoder handed bytes of the wrong shape fails
@@ -38,11 +39,42 @@ type Encoder struct {
 // version (stage artifacts pass CodecVersion; the engine's result
 // journal layers its own version on top).
 func NewEncoder(kind artifact.Kind, version uint16) *Encoder {
-	e := &Encoder{buf: make([]byte, 0, 64)}
+	return newEncoder(kind, version, 64)
+}
+
+// newEncoder starts a payload with room for size bytes in all, header
+// included.
+func newEncoder(kind artifact.Kind, version uint16, size int) *Encoder {
+	e := &Encoder{buf: make([]byte, 0, size)}
 	e.buf = append(e.buf, codecMagic...)
 	e.buf = append(e.buf, byte(kind))
 	e.Uint(uint64(version))
 	return e
+}
+
+// headerLen is the size of the header newEncoder writes.
+func headerLen(version uint16) int {
+	return len(codecMagic) + 1 + uvarintLen(uint64(version))
+}
+
+// uvarintLen is the size of v encoded by Encoder.Uint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// varintLen is the size of v encoded by Encoder.Int.
+func varintLen(v int64) int {
+	ux := uint64(v) << 1
+	if v < 0 {
+		ux = ^ux
+	}
+	return uvarintLen(ux)
+}
+
+// lenCode is the value Encoder.Len writes.
+func lenCode(n int, isNil bool) uint64 {
+	if isNil {
+		return 0
+	}
+	return uint64(n) + 1
 }
 
 // Uint appends an unsigned varint.
@@ -77,13 +109,7 @@ func (e *Encoder) Float(f float64) {
 // 0, a non-nil slice of length n as n+1. Decoders recover the
 // distinction, so encoded artifacts round-trip nil-vs-empty exactly —
 // required for byte-identical resumed output.
-func (e *Encoder) Len(n int, isNil bool) {
-	if isNil {
-		e.Uint(0)
-		return
-	}
-	e.Uint(uint64(n) + 1)
-}
+func (e *Encoder) Len(n int, isNil bool) { e.Uint(lenCode(n, isNil)) }
 
 // Bytes returns the encoded payload.
 func (e *Encoder) Bytes() []byte { return e.buf }
@@ -205,19 +231,36 @@ func (d *Decoder) Finish() error {
 
 // EncodeTokens serializes a page's token stream (the cacheable half of
 // a TokenizedPage — the name is diagnostic and lives outside the
-// content-addressed payload).
+// content-addressed payload). The layout is text-first: the token
+// count, then every token's text as one block, then each token's text
+// length, type and offset. The payload is sized exactly, since a
+// memory store keeps the slice it is handed, spare capacity and all.
 func EncodeTokens(toks []token.Token) []byte {
-	e := NewEncoder(artifact.KindTokens, CodecVersion)
-	e.Len(len(toks), toks == nil)
-	for _, t := range toks {
-		e.Str(t.Text)
+	text, size := 0, 0
+	for i := range toks {
+		t := &toks[i]
+		text += len(t.Text)
+		size += uvarintLen(uint64(len(t.Text))) + uvarintLen(uint64(t.Type)) + varintLen(int64(t.Offset))
+	}
+	code := lenCode(len(toks), toks == nil)
+	size += headerLen(CodecVersion) + uvarintLen(code) + uvarintLen(uint64(text)) + text
+	e := newEncoder(artifact.KindTokens, CodecVersion, size)
+	e.Uint(code)
+	e.Uint(uint64(text)) // the block is read back as one Str
+	for i := range toks {
+		e.buf = append(e.buf, toks[i].Text...)
+	}
+	for i := range toks {
+		t := &toks[i]
+		e.Uint(uint64(len(t.Text)))
 		e.Uint(uint64(t.Type))
 		e.Int(int64(t.Offset))
 	}
 	return e.Bytes()
 }
 
-// DecodeTokens reverses EncodeTokens.
+// DecodeTokens reverses EncodeTokens. The text block becomes one
+// string, and each token's text is a slice of it.
 func DecodeTokens(data []byte) ([]token.Token, error) {
 	d, err := NewDecoder(data, artifact.KindTokens, CodecVersion)
 	if err != nil {
@@ -227,27 +270,41 @@ func DecodeTokens(data []byte) ([]token.Token, error) {
 	if err != nil {
 		return nil, err
 	}
+	text, err := d.Str()
+	if err != nil {
+		return nil, err
+	}
 	var toks []token.Token
 	if !isNil {
 		toks = make([]token.Token, n)
-		for i := range toks {
-			if toks[i].Text, err = d.Str(); err != nil {
-				return nil, err
-			}
-			ty, err := d.Uint()
-			if err != nil {
-				return nil, err
-			}
-			if ty > math.MaxUint16 {
-				return nil, fmt.Errorf("%w: token type %d out of range", ErrCodec, ty)
-			}
-			toks[i].Type = token.Type(ty)
-			off, err := d.Int()
-			if err != nil {
-				return nil, err
-			}
-			toks[i].Offset = int(off)
+	}
+	pos := 0
+	for i := range toks {
+		l, err := d.Uint()
+		if err != nil {
+			return nil, err
 		}
+		if l > uint64(len(text)-pos) {
+			return nil, fmt.Errorf("%w: token %d text of %d bytes runs past the text block", ErrCodec, i, l)
+		}
+		toks[i].Text = text[pos : pos+int(l)]
+		pos += int(l)
+		ty, err := d.Uint()
+		if err != nil {
+			return nil, err
+		}
+		if ty > math.MaxUint16 {
+			return nil, fmt.Errorf("%w: token type %d out of range", ErrCodec, ty)
+		}
+		toks[i].Type = token.Type(ty)
+		off, err := d.Int()
+		if err != nil {
+			return nil, err
+		}
+		toks[i].Offset = int(off)
+	}
+	if pos != len(text) {
+		return nil, fmt.Errorf("%w: %d text bytes unused", ErrCodec, len(text)-pos)
 	}
 	if err := d.Finish(); err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tableseg/internal/artifact"
@@ -36,6 +37,69 @@ func TestTokensRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, toks) {
 			t.Errorf("%s: round trip = %#v, want %#v", name, got, toks)
+		}
+	}
+}
+
+// TestTokensKeepNilAndEmptyApart checks that a round trip tells a nil
+// stream from an empty one: resumed output must be byte-identical, and
+// encoding/json renders the two differently.
+func TestTokensKeepNilAndEmptyApart(t *testing.T) {
+	gotNil, err := DecodeTokens(EncodeTokens(nil))
+	if err != nil || gotNil != nil {
+		t.Errorf("nil round trip = %#v, %v; want nil", gotNil, err)
+	}
+	gotEmpty, err := DecodeTokens(EncodeTokens([]token.Token{}))
+	if err != nil || gotEmpty == nil || len(gotEmpty) != 0 {
+		t.Errorf("empty round trip = %#v, %v; want an empty non-nil slice", gotEmpty, err)
+	}
+}
+
+// TestEncodeTokensSizedExactly checks that a token payload carries no
+// spare capacity: a memory store keeps the slice it is handed.
+func TestEncodeTokensSizedExactly(t *testing.T) {
+	for name, toks := range map[string][]token.Token{
+		"nil":       nil,
+		"empty":     {},
+		"real-page": token.Tokenize(codecTestPage),
+		"edge-values": {
+			{Text: strings.Repeat("x", 200), Type: math.MaxUint16, Offset: math.MinInt64},
+			{Text: "", Type: 0, Offset: math.MaxInt64},
+			{Text: "y", Type: 127, Offset: -64},
+			{Text: "z", Type: 128, Offset: 64},
+		},
+	} {
+		if data := EncodeTokens(toks); len(data) != cap(data) {
+			t.Errorf("%s: payload len %d, cap %d", name, len(data), cap(data))
+		}
+	}
+}
+
+// tokenPayload hand-builds a token payload of len(lens) tokens: the
+// text block, then each token's text length, type 0 and offset 0.
+func tokenPayload(text string, lens ...uint64) []byte {
+	e := NewEncoder(artifact.KindTokens, CodecVersion)
+	e.Len(len(lens), false)
+	e.Str(text)
+	for _, l := range lens {
+		e.Uint(l)
+		e.Uint(0)
+		e.Int(0)
+	}
+	return e.Bytes()
+}
+
+func TestDecodeTokensChecksTextLengths(t *testing.T) {
+	if toks, err := DecodeTokens(tokenPayload("abc", 1, 2)); err != nil || len(toks) != 2 || toks[0].Text != "a" || toks[1].Text != "bc" {
+		t.Fatalf("well-formed payload = %#v, %v", toks, err)
+	}
+	for name, data := range map[string][]byte{
+		"past-block":  tokenPayload("ab", 1, 2),
+		"unused-text": tokenPayload("abc", 1, 1),
+		"no-tokens":   tokenPayload("a"),
+	} {
+		if _, err := DecodeTokens(data); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: err = %v, want ErrCodec", name, err)
 		}
 	}
 }
@@ -171,6 +235,8 @@ func FuzzArtifactCodec(f *testing.F) {
 	f.Add([]byte(codecTestPage))
 	f.Add([]byte{})
 	f.Add(EncodeTokens(token.Tokenize("<p>seed</p>")))
+	f.Add(tokenPayload("ab", 1, 2))  // a text length past the text block
+	f.Add(tokenPayload("abc", 1, 1)) // text bytes left over
 	f.Add(EncodeTemplate(Template{}))
 	f.Add(EncodeRecords(codecTestRecords()))
 	f.Fuzz(func(t *testing.T, data []byte) {

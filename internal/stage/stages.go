@@ -62,9 +62,10 @@ func Tokenize(ctx context.Context, in TokenizeIn) (TokenizeOut, error) {
 	// PreparedLists (and cache-returned token slices) are shared by
 	// contract: token slices are write-once after tokenization, and
 	// copying every page's tokens would defeat the prepared-input seam.
-	// Tokens own their text (Token.Text is a copied string), so the
-	// alias shares only the slice headers, never a page buffer.
-	//tableseglint:ignore aliasflow prepared token slices are immutable by contract and shared deliberately; tokens own their text
+	// Token texts are immutable strings that share memory on purpose:
+	// a freshly tokenized page's texts are substrings of its HTML, and
+	// a decoded page's texts are substrings of one string per page.
+	//tableseglint:ignore aliasflow prepared token slices are immutable by contract and shared deliberately; token texts are immutable substrings of the page or of its decoded text block
 	return out, nil
 }
 
@@ -84,9 +85,9 @@ func InduceTemplate(ctx context.Context, in TemplateIn) (Template, error) {
 	if in.Prepared != nil {
 		// The prepared template is handed through untouched: induction
 		// output is immutable once built, so the alias is the contract.
-		// The template stores token streams whose text is owned (copied
-		// strings), so the alias shares no page buffer.
-		//tableseglint:ignore aliasflow prepared templates are immutable after induction and shared deliberately; their tokens own their text
+		// Its skeleton texts are immutable strings: substrings of the
+		// list pages, or strings of their own in a decoded template.
+		//tableseglint:ignore aliasflow prepared templates are immutable after induction and shared deliberately; their skeleton texts are immutable strings
 		return Template{Tpl: in.Prepared}, nil
 	}
 	if len(in.Lists) < 2 {

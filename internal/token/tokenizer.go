@@ -24,19 +24,29 @@ type Token struct {
 // IsHTML reports whether the token is an HTML tag.
 func (t Token) IsHTML() bool { return t.Type.Has(HTML) }
 
+// bytesPerToken sizes Tokenize's output from its input. The generated
+// corpus pages hold 5.7 to 7.0 bytes of HTML per token (6.1 on
+// average), so their streams outgrow the estimate at most once; pages
+// with more markup per word, such as long scripts, leave part of it
+// unused.
+const bytesPerToken = 6
+
 // Tokenize converts an HTML document into the paper's flat token stream:
 // tags become single HTML-typed tokens, text runs are entity-decoded and
 // split on whitespace into word tokens, and each word token is assigned
 // its syntactic type set. Comments, doctypes, and script/style bodies
-// produce no tokens (they are invisible).
+// produce no tokens (they are invisible). Token texts are substrings of
+// src wherever src spells them as they read.
 func Tokenize(src string) []Token {
-	raw := htmlx.Tokenize(src)
-	out := make([]Token, 0, len(raw)*2)
+	out := make([]Token, 0, len(src)/bytesPerToken+1)
+	lx := htmlx.NewLexer(src)
 	skipText := 0 // >0 while inside <script>/<style>
-	for _, rt := range raw {
+	for {
+		rt, ok := lx.Next()
+		if !ok {
+			return out
+		}
 		switch rt.Kind {
-		case htmlx.Comment, htmlx.Doctype:
-			continue
 		case htmlx.StartTag, htmlx.EndTag, htmlx.SelfClosing:
 			name := rt.TagName()
 			switch rt.Kind {
@@ -57,19 +67,25 @@ func Tokenize(src string) []Token {
 			out = appendWords(out, rt.Data, rt.Offset)
 		}
 	}
-	return out
 }
 
-// canonicalTag renders a tag token in its canonical attribute-free form.
+// canonicalTag renders a tag token in its canonical attribute-free
+// form: "<td>", "</td>" or "<br/>". When the source spells the tag
+// exactly so, the result is the token's Raw text and costs nothing.
 func canonicalTag(rt htmlx.Token) string {
+	open, end := "<", ">"
 	switch rt.Kind {
 	case htmlx.EndTag:
-		return "</" + rt.Data + ">"
+		open = "</"
 	case htmlx.SelfClosing:
-		return "<" + rt.Data + "/>"
-	default:
-		return "<" + rt.Data + ">"
+		end = "/>"
 	}
+	raw, name := rt.Raw, rt.Data
+	if len(raw) == len(open)+len(name)+len(end) && strings.HasPrefix(raw, open) &&
+		strings.HasSuffix(raw, end) && raw[len(open):len(open)+len(name)] == name {
+		return raw
+	}
+	return open + name + end
 }
 
 // appendWords splits text on whitespace and appends one typed token per

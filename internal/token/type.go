@@ -77,111 +77,68 @@ func (t Type) Vector() [NumTypes]bool {
 
 // TypeOf computes the syntactic type set for a single word token (not an
 // HTML tag). HTML tags get their type from the tokenizer directly.
+//
+// A word with neither letters nor digits is PUNCT. A word with either
+// is ALNUM, and:
+//   - NUMERIC when it has digits, no letters, and otherwise only the
+//     punctuation of numbers, phone numbers and dates ('.', ',', '-',
+//     '(', ')', '/', ':');
+//   - ALPHA when it has letters, no digits, and otherwise only the
+//     intra-word punctuation of names (period, hyphen, apostrophe), as in
+//     "O'Brien", "anti-virus" or "Jr."; an ALPHA word is also ALLCAPS
+//     when all its letters are upper case, LOWERCASE when all are lower
+//     case, and CAPITALIZED when its first letter is the only upper-case
+//     one.
+//
+// One scan over the bytes sets every bit.
 func TypeOf(s string) Type {
 	if s == "" {
 		return 0
 	}
 	var (
-		hasLetter, hasDigit, hasOther bool
-		hasUpper, hasLower            bool
+		hasLetter, hasDigit, hasLower bool
+		firstUpper, laterUpper        bool // the first letter is upper case; so is a later one
+		notNumeric, notWord           bool // a byte outside the number or the word punctuation
 	)
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
+		switch c := s[i]; {
 		case c >= 'a' && c <= 'z':
 			hasLetter, hasLower = true, true
 		case c >= 'A' && c <= 'Z':
-			hasLetter, hasUpper = true, true
+			if hasLetter {
+				laterUpper = true
+			} else {
+				firstUpper = true
+			}
+			hasLetter = true
 		case c >= '0' && c <= '9':
 			hasDigit = true
+		case c == '.' || c == '-':
+		case c == ',' || c == '(' || c == ')' || c == '/' || c == ':':
+			notWord = true
+		case c == '\'':
+			notNumeric = true
 		default:
-			hasOther = true
+			notNumeric, notWord = true, true
 		}
 	}
 	if !hasLetter && !hasDigit {
 		return Punct
 	}
 	t := Alnum
-	if hasDigit && !hasLetter && !hasOtherBeyondNumericPunct(s, hasOther) {
+	if hasDigit && !hasLetter && !notNumeric {
 		t |= Numeric
 	}
-	if hasLetter && !hasDigit && !hasOtherBeyondWordPunct(s, hasOther) {
+	if hasLetter && !hasDigit && !notWord {
 		t |= Alpha
 		switch {
-		case hasUpper && !hasLower:
+		case !hasLower:
 			t |= AllCaps
-		case !hasUpper && hasLower:
+		case !firstUpper && !laterUpper:
 			t |= Lowercase
-		case isCapitalized(s):
+		case firstUpper && !laterUpper:
 			t |= Capitalized
 		}
 	}
 	return t
-}
-
-// hasOtherBeyondNumericPunct reports whether s contains non-digit
-// characters other than the punctuation conventionally embedded in
-// numbers, phone numbers and dates ('.', ',', '-', '(', ')', '/', ':').
-func hasOtherBeyondNumericPunct(s string, hasOther bool) bool {
-	if !hasOther {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= '0' && c <= '9' {
-			continue
-		}
-		switch c {
-		case '.', ',', '-', '(', ')', '/', ':':
-			continue
-		}
-		return true
-	}
-	return false
-}
-
-// hasOtherBeyondWordPunct reports whether s contains non-alphanumeric
-// characters other than the intra-word punctuation commonly embedded in
-// names and words (period, hyphen, apostrophe), e.g. "O'Brien",
-// "anti-virus", "Jr.".
-func hasOtherBeyondWordPunct(s string, hasOther bool) bool {
-	if !hasOther {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
-			continue
-		}
-		if c == '.' || c == '-' || c == '\'' {
-			continue
-		}
-		return true
-	}
-	return false
-}
-
-// isCapitalized reports whether the first letter of s is uppercase and
-// every subsequent letter is lowercase.
-func isCapitalized(s string) bool {
-	first := true
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		isUp := c >= 'A' && c <= 'Z'
-		isLo := c >= 'a' && c <= 'z'
-		if !isUp && !isLo {
-			continue
-		}
-		if first {
-			if !isUp {
-				return false
-			}
-			first = false
-			continue
-		}
-		if isUp {
-			return false
-		}
-	}
-	return !first
 }

@@ -2,12 +2,13 @@ package tableseg
 
 // Per-stage microbenchmarks over the stage graph (internal/stage): one
 // benchmark per pipeline stage on a representative generated site, one
-// solver benchmark per registry entry on the same Problem, one WSAT
-// restart inside the CSP solver and one EM iteration inside the
-// probabilistic solver. `make bench` exports their results as
-// BENCH_stages.json (via cmd/benchjson) so stage-level regressions show
-// up as structured diffs; `make bench-check` fails when allocs/op grow
-// past it, and CI smoke-runs them with -benchtime=1x.
+// for decoding a cached token stream, one solver benchmark per registry
+// entry on the same Problem, one WSAT restart inside the CSP solver and
+// one EM iteration inside the probabilistic solver. `make bench` exports
+// their results as BENCH_stages.json (via cmd/benchjson) so stage-level
+// regressions show up as structured diffs; `make bench-check` fails
+// when allocs/op grow past it, and CI smoke-runs them with
+// -benchtime=1x.
 
 import (
 	"context"
@@ -138,6 +139,19 @@ func BenchmarkStageTokenize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out, err := stage.Tokenize(context.Background(), in)
 		if err != nil || len(out.Lists) == 0 {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStageDecodeTokens decodes a list page's token payload: what
+// a warm token-cache hit costs in place of tokenizing the page.
+func BenchmarkStageDecodeTokens(b *testing.B) {
+	f := newStageFixture(b, "allegheny", 0)
+	payload := stage.EncodeTokens(f.toks.Lists[f.in.Target].Tokens)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := stage.DecodeTokens(payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -125,14 +125,17 @@ cover:
 # Short exploratory fuzzing of the HTML lexer and the tokenizer (both
 # against their reference implementations), the extraction front end,
 # the artifact codec (decode of arbitrary bytes must error, never
-# panic; decodable artifacts must round-trip) and the probabilistic
-# solver (any valid instance must segment or error, never panic).
+# panic; decodable artifacts must round-trip), the probabilistic
+# solver (any valid instance must segment or error, never panic) and
+# every solver of internal/solvers (any small problem must segment,
+# with no consecutiveness hole unless the solver is exhausted).
 fuzz:
 	$(GO) test -fuzz=FuzzTokenize -fuzztime=30s ./internal/htmlx
 	$(GO) test -fuzz=FuzzTokenizeMatchesReference -fuzztime=30s ./internal/token
 	$(GO) test -fuzz=FuzzExtracts -fuzztime=30s ./internal/extract
 	$(GO) test -fuzz=FuzzArtifactCodec -fuzztime=30s ./internal/stage
 	$(GO) test -fuzz=FuzzSegment -fuzztime=30s ./internal/phmm
+	$(GO) test -fuzz=FuzzSolve -fuzztime=30s ./internal/solvers
 
 clean:
 	rm -rf corpus .tableseglint-cache

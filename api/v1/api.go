@@ -51,8 +51,8 @@ type SegmentRequest struct {
 	// Method selects the segmentation algorithm: "csp",
 	// "probabilistic" (the default when empty) or "combined".
 	Method string `json:"method,omitempty"`
-	// Solver, when non-empty, names a registered solver and overrides
-	// Method ("exact", "greedy", "uniform", ...).
+	// Solver, when non-empty, names the solver to run and overrides
+	// Method ("exact", "greedy", "uniform", or a method's name).
 	Solver string `json:"solver,omitempty"`
 	// ListPages are the site's sampled list pages (two or more enable
 	// cross-page template induction).

@@ -7,13 +7,14 @@ import (
 // StagePurity returns the analyzer enforcing the stage-graph layering
 // introduced with internal/stage: the stage package holds pure stage
 // functions over artifact types and must stay algorithm-agnostic (no
-// imports of the CSP, PHMM or baseline algorithm packages — algorithms
-// plug in behind the Solver registry), and the solver adapter packages
-// must depend only on the artifact types and their algorithm packages,
-// never on the orchestration layer (core, engine, experiments). The
-// rule keeps the dependency arrows one-directional — orchestration →
-// stages ← solvers → algorithms — so a new solver can be added, and a
-// stage reused, without linking in the rest of the pipeline.
+// imports of the CSP, PHMM or baseline algorithm packages, nor of the
+// solver packages that run them over the stage's Problem), and the
+// solver adapter packages must depend only on the artifact types and
+// their algorithm packages, never on the orchestration layer (core,
+// engine, experiments). The rule keeps the dependency arrows
+// one-directional — orchestration → stages ← solvers → algorithms — so
+// a new solver can be added, and a stage reused, without linking in
+// the rest of the pipeline.
 func StagePurity() *Analyzer {
 	a := &Analyzer{
 		Name: "stagepurity",
@@ -27,7 +28,7 @@ func StagePurity() *Analyzer {
 			banned = append(banned, pass.Cfg.AlgorithmPkgs...)
 			banned = append(banned, pass.Cfg.SolverPkgs...)
 			banned = append(banned, pass.Cfg.OrchestrationPkgs...)
-			why = "stages are algorithm-agnostic; algorithms reach the Segment stage through the Solver registry"
+			why = "stages are algorithm-agnostic; algorithms reach the Segment stage through internal/solvers"
 		case matchesAny(pass.Pkg.Path, pass.Cfg.SolverPkgs):
 			banned = pass.Cfg.OrchestrationPkgs
 			why = "solvers depend only on the artifact types and their algorithm packages, never on orchestration"

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"tableseg/internal/stage"
+	"tableseg/internal/solvers"
 )
 
 // Validate rejects nonsensical configurations with ErrBadOptions before
@@ -16,8 +16,10 @@ func (o Options) Validate() error {
 	default:
 		return fmt.Errorf("%w: unknown method %d", ErrBadOptions, o.Method)
 	}
-	if o.Solver != "" && !stage.HasSolver(o.Solver) {
-		return fmt.Errorf("%w: unknown solver %q (registered: %v)", ErrBadOptions, o.Solver, stage.RegisteredSolvers())
+	if o.Solver != "" {
+		if _, err := solvers.New(o.Solver, solvers.Config{}); err != nil {
+			return fmt.Errorf("%w: %w", ErrBadOptions, err)
+		}
 	}
 	if o.MinSlotQuality < 0 || o.MinSlotQuality > 1 {
 		return fmt.Errorf("%w: MinSlotQuality %v outside [0,1]", ErrBadOptions, o.MinSlotQuality)

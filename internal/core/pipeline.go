@@ -1,14 +1,13 @@
 // Package core orchestrates the paper's end-to-end pipeline (§3) as an
 // explicit stage graph: Tokenize → InduceTemplate → SelectSlot →
 // Extract → Observe → Segment → PostProcess. The stages themselves are
-// pure functions over typed artifacts (internal/stage); the algorithms
-// behind the Segment stage implement stage.Solver and live behind the
-// solver registry (internal/solvers registers the built-ins). What
-// remains here is the paper's control flow — input validation, the
-// fallback and retry ladder (single-page row detection, shattered-slot
-// whole-page fallback, coverage retry), error classification into the
-// typed sentinels, and the mapping of solver diagnostics onto the
-// public Segmentation.
+// pure functions over typed artifacts (internal/stage); the Segment
+// stage runs the solver that solvers.New builds from Options.Solver or
+// Options.Method. What remains here is the paper's control flow —
+// input validation, the fallback and retry ladder (single-page row
+// detection, shattered-slot whole-page fallback, coverage retry),
+// error classification into the typed sentinels, and the mapping of
+// the solver's result onto the public Segmentation.
 package core
 
 import (
@@ -16,9 +15,7 @@ import (
 	"fmt"
 
 	"tableseg/internal/baseline"
-	"tableseg/internal/csp"
 	"tableseg/internal/pagetemplate"
-	"tableseg/internal/phmm"
 	"tableseg/internal/solvers"
 	"tableseg/internal/stage"
 	"tableseg/internal/token"
@@ -111,7 +108,7 @@ func SegmentEnv(ctx context.Context, in Input, opts Options, env Env) (*Segmenta
 	if env.Observer != nil {
 		obs = stage.MultiObserver{obs, env.Observer}
 	}
-	solver, err := newSolver(opts)
+	solverName, solver, err := newSolver(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +160,7 @@ func SegmentEnv(ctx context.Context, in Input, opts Options, env Env) (*Segmenta
 			slot = stage.Slot{Start: s, End: e, Quality: 1}
 		}
 	}
-	seg := &Segmentation{Method: opts.Method, Solver: solver.Name()}
+	seg := &Segmentation{Method: opts.Method, Solver: solverName}
 	seg.UsedWholePage = slot.WholePage
 	seg.TemplateQuality = slot.Quality
 	seg.EnumerationStripped = slot.EnumerationStripped
@@ -216,26 +213,20 @@ func SegmentEnv(ctx context.Context, in Input, opts Options, env Env) (*Segmenta
 	seg.Vertical = matrix.Vertical
 
 	// Run the selected solver over the analyzed extracts.
-	asg, err := stage.Instrument(ctx, stage.StageSegment, obs, stage.Segment, stage.SegmentIn{
-		Problem: stage.BuildProblem(matrix), Solver: solver,
-	})
+	res, err := stage.Instrument(ctx, stage.StageSegment, obs, solver.Solve, stage.BuildProblem(matrix))
 	if err != nil {
 		return nil, err
 	}
-	stats.WSATRestarts += asg.Counters.WSATRestarts
-	stats.WSATFlips += asg.Counters.WSATFlips
-	stats.CutRounds += asg.Counters.CutRounds
-	stats.EMIters += asg.Counters.EMIters
-	for _, d := range asg.Details {
-		switch v := d.(type) {
-		case *csp.SegmentResult:
-			seg.CSPStatus = v.Status
-			seg.Relaxed = v.Relaxed
-		case *phmm.Result:
-			seg.PHMM = v
-		}
+	stats.WSATRestarts += res.Counters.WSATRestarts
+	stats.WSATFlips += res.Counters.WSATFlips
+	stats.CutRounds += res.Counters.CutRounds
+	stats.EMIters += res.Counters.EMIters
+	if res.CSP != nil {
+		seg.CSPStatus = res.CSP.Status
+		seg.Relaxed = res.CSP.Relaxed
 	}
-	if asg.Exhausted {
+	seg.PHMM = res.PHMM
+	if res.Exhausted {
 		// The solver ran out of fallbacks without finding any feasible
 		// assignment; report it as a typed error (the seg still carries
 		// the diagnostics).
@@ -244,7 +235,7 @@ func SegmentEnv(ctx context.Context, in Input, opts Options, env Env) (*Segmenta
 
 	// Attach the evidence-free remainder (§6.2), mine column labels.
 	post, err := stage.Instrument(ctx, stage.StagePostProcess, obs, stage.PostProcess, stage.PostIn{
-		Extracts: exs, Matrix: matrix, Assignment: asg,
+		Extracts: exs, Matrix: matrix, Assignment: &res.Assignment,
 		Details: toks.Details, MineLabels: opts.MineLabels,
 	})
 	if err != nil {
@@ -255,17 +246,18 @@ func SegmentEnv(ctx context.Context, in Input, opts Options, env Env) (*Segmenta
 	return seg, nil
 }
 
-// newSolver resolves the options to a configured registry solver.
-func newSolver(opts Options) (stage.Solver, error) {
+// newSolver resolves the options to a solver name (Options.Solver, or
+// the Method's name when unset) and the solver configured for it.
+func newSolver(opts Options) (string, solvers.Solver, error) {
 	name := opts.Solver
 	if name == "" {
 		name = opts.Method.String()
 	}
-	s, err := stage.NewSolver(name, solvers.Config{
+	s, err := solvers.New(name, solvers.Config{
 		CSP: opts.CSPParams, PHMM: opts.PHMMParams, CSPColumns: opts.CSPColumns,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadOptions, err)
+		return "", nil, fmt.Errorf("%w: %w", ErrBadOptions, err)
 	}
-	return s, nil
+	return name, s, nil
 }

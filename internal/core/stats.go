@@ -1,29 +1,12 @@
 package core
 
-import (
-	"time"
-
-	"tableseg/internal/stage"
-)
+import "time"
 
 // Stats records per-stage instrumentation of one Segment call — the
 // pipeline's observability surface. All fields are measured on the
 // task's own goroutine; a nil *Stats disables collection entirely.
 type Stats struct {
-	// TokenizeTime covers lexing the detail pages and (when no prepared
-	// site was supplied) the list pages.
-	TokenizeTime time.Duration
-	// TemplateTime covers template induction, slot location and the
-	// enumeration heuristic.
-	TemplateTime time.Duration
-	// ExtractTime covers extract splitting, the observation matrix and
-	// the informative-subset filter (including the coverage retry).
-	ExtractTime time.Duration
-	// SolveTime covers the CSP solve and/or the EM learning plus MAP
-	// decode of the probabilistic model.
-	SolveTime time.Duration
 	// Stages breaks the call down by pipeline stage, in pipeline order.
-	// The legacy fields above are aggregations of these entries.
 	Stages []StageTiming
 	// WSATRestarts and WSATFlips count the local-search work done by
 	// the CSP solve (0 for the probabilistic method).
@@ -59,10 +42,8 @@ func (s *Stats) AddStage(name string, d time.Duration) {
 	s.Stages = append(s.Stages, StageTiming{Name: name, Duration: d, Calls: 1})
 }
 
-// statsObserver folds stage.Observer callbacks into a Stats: the
-// per-stage breakdown plus the legacy coarse buckets (template covers
-// induction and slot location; extract covers splitting and
-// observation, as before the stage-graph refactor).
+// statsObserver folds stage.Observer callbacks into a Stats' per-stage
+// breakdown.
 type statsObserver struct {
 	stats *Stats
 }
@@ -71,14 +52,4 @@ func (o *statsObserver) OnStageStart(name string) {}
 
 func (o *statsObserver) OnStageEnd(name string, d time.Duration, err error) {
 	o.stats.AddStage(name, d)
-	switch name {
-	case stage.StageTokenize:
-		o.stats.TokenizeTime += d
-	case stage.StageInduceTemplate, stage.StageSelectSlot:
-		o.stats.TemplateTime += d
-	case stage.StageExtract, stage.StageObserve:
-		o.stats.ExtractTime += d
-	case stage.StageSegment:
-		o.stats.SolveTime += d
-	}
 }

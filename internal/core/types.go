@@ -27,9 +27,9 @@ type Input struct {
 	DetailPages []Page
 }
 
-// Method selects the segmentation algorithm. It predates the solver
-// registry and survives as a compatibility shim: each value simply
-// names a registered solver (Options.Solver overrides it).
+// Method selects the segmentation algorithm among the paper's two
+// methods and their §7 combination: each value names a solver of
+// internal/solvers (Options.Solver overrides it).
 type Method int
 
 const (
@@ -45,7 +45,7 @@ const (
 	Combined
 )
 
-// String returns the method's solver-registry name.
+// String returns the name of the method's solver.
 func (m Method) String() string {
 	switch m {
 	case CSP:
@@ -62,10 +62,9 @@ func (m Method) String() string {
 // Options tunes the pipeline.
 type Options struct {
 	Method Method
-	// Solver, when non-empty, names the registered solver to run and
-	// overrides Method. Any solver registered with
-	// stage.RegisterSolver is eligible ("exact", "greedy", "uniform",
-	// or a caller's own registration).
+	// Solver, when non-empty, names the solver to run and overrides
+	// Method: any name solvers.Names lists ("exact", "greedy",
+	// "uniform", or one of the Methods' names).
 	Solver string
 	// MinSlotQuality is the threshold below which the template's table
 	// slot is considered shattered and the whole page is used instead
@@ -119,7 +118,7 @@ type Segmentation struct {
 	Records []Record
 	// Method that produced the segmentation.
 	Method Method
-	// Solver is the registry name of the solver that actually ran
+	// Solver is the name of the solver that actually ran
 	// (Options.Solver, or Method's name when unset).
 	Solver string
 	// UsedWholePage is true when the template fallback fired (§6.2).

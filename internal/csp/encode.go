@@ -333,7 +333,7 @@ func (sp SolveParams) withDefaults() SolveParams {
 // with ctx.Err() while uncancelled runs stay deterministic.
 func SolveSegmentationContext(ctx context.Context, in SegmentInput, params SolveParams) (*SegmentResult, error) {
 	params = params.withDefaults()
-	res, ok, err := trySolve(ctx, in, Strict, params)
+	res, ok, err := trySolve(ctx, in, Strict, params, searchWSAT)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +343,7 @@ func SolveSegmentationContext(ctx context.Context, in SegmentInput, params Solve
 	}
 	flips, restarts := res.Flips, res.Restarts
 	if !params.NoRelax {
-		res, ok, err = trySolve(ctx, in, Relaxed, params)
+		res, ok, err = trySolve(ctx, in, Relaxed, params, searchWSAT)
 		if err != nil {
 			return nil, err
 		}
@@ -365,6 +365,25 @@ func SolveSegmentationContext(ctx context.Context, in SegmentInput, params Solve
 	}, nil
 }
 
+// SolveSegmentationExact runs the strict rung of
+// SolveSegmentationContext with SolveExact in place of WSAT: the same
+// lazy consecutiveness repair, bounded by the same MaxCutRounds, but a
+// complete search, so a Failed status means the strict encoding is
+// unsatisfiable or its repair ran out of cut rounds, never that a
+// search gave up. It never relaxes (Relaxed stays false), ignores
+// WSAT, ExactCheck and NoRelax, and returns ErrSearchLimit when the
+// search's node budget runs out, since satisfiability is then unknown.
+func SolveSegmentationExact(ctx context.Context, in SegmentInput, params SolveParams) (*SegmentResult, error) {
+	res, ok, err := trySolve(ctx, in, Strict, params.withDefaults(), searchExact)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return &SegmentResult{Records: unassignedAll(len(in.Candidates)), Status: Failed}, nil
+	}
+	return res, nil
+}
+
 func unassignedAll(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -373,33 +392,53 @@ func unassignedAll(n int) []int {
 	return out
 }
 
+// rungSearch looks for an assignment satisfying every hard constraint
+// of one rung's encoding. A Solution with Feasible false means the rung
+// fails; its Flips and Restarts still count the work spent.
+type rungSearch func(ctx context.Context, p *Problem, params SolveParams) (*Solution, error)
+
+// searchWSAT is the local-search rung: WSAT, and when it finds nothing
+// on a small enough problem, the exact solver decides.
+func searchWSAT(ctx context.Context, p *Problem, params SolveParams) (*Solution, error) {
+	sol, err := SolveWSATContext(ctx, p, params.WSAT)
+	if err != nil || sol.Feasible || !params.ExactCheck || p.NumVars() > params.ExactVarLimit {
+		return sol, err
+	}
+	exact, sat, err := SolveExact(ctx, p, ExactParams{})
+	switch {
+	case err == nil && sat:
+		return &Solution{Assign: exact, Feasible: true, Flips: sol.Flips, Restarts: sol.Restarts}, nil
+	case err != nil && !errors.Is(err, ErrSearchLimit):
+		return nil, err // context cancellation
+	}
+	return sol, nil // certified UNSAT, or the search gave up
+}
+
+// searchExact is the complete rung: a failure is a proof, and a search
+// that runs out of nodes is an error.
+func searchExact(ctx context.Context, p *Problem, _ SolveParams) (*Solution, error) {
+	assign, sat, err := SolveExact(ctx, p, ExactParams{})
+	if err != nil {
+		return nil, err
+	}
+	return &Solution{Assign: assign, Feasible: sat}, nil
+}
+
 // trySolve attempts one rung of the ladder, returning a result and
 // whether a feasible, fully consecutive assignment was found. On
 // failure the result still carries the Flips/Restarts spent, so the
 // ladder can aggregate solver work across rungs.
-func trySolve(ctx context.Context, in SegmentInput, level RelaxLevel, params SolveParams) (*SegmentResult, bool, error) {
+func trySolve(ctx context.Context, in SegmentInput, level RelaxLevel, params SolveParams, search rungSearch) (*SegmentResult, bool, error) {
 	enc := Encode(in, level)
 	spent := &SegmentResult{}
 	rounds := 0
 	for {
-		sol, err := SolveWSATContext(ctx, enc.Problem, params.WSAT)
+		sol, err := search(ctx, enc.Problem, params)
 		if err != nil {
 			return nil, false, err
 		}
 		spent.Flips += sol.Flips
 		spent.Restarts += sol.Restarts
-		if !sol.Feasible && params.ExactCheck && enc.Problem.NumVars() <= params.ExactVarLimit {
-			// Local search failed; let the exact solver decide.
-			exact, sat, exErr := SolveExact(ctx, enc.Problem, ExactParams{})
-			switch {
-			case exErr == nil && sat:
-				sol = &Solution{Assign: exact, Feasible: true}
-			case exErr == nil && !sat:
-				return spent, false, nil // certified UNSAT at this rung
-			case !errors.Is(exErr, ErrSearchLimit):
-				return nil, false, exErr // context cancellation
-			}
-		}
 		if !sol.Feasible {
 			return spent, false, nil
 		}

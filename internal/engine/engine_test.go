@@ -16,6 +16,7 @@ import (
 	"tableseg/internal/engine"
 	"tableseg/internal/experiments"
 	"tableseg/internal/sitegen"
+	"tableseg/internal/stage"
 )
 
 // corpusInputs builds one Input per list page of the full synthetic
@@ -194,10 +195,17 @@ func TestEngineStats(t *testing.T) {
 	if st.Wall <= 0 {
 		t.Error("Wall not recorded")
 	}
-	if st.TokenizeTime <= 0 || st.TemplateTime < 0 || st.ExtractTime <= 0 || st.SolveTime <= 0 {
-		t.Errorf("stage times not recorded: %+v", st.Stats)
+	byName := map[string]time.Duration{}
+	for _, s := range st.Stages {
+		byName[s.Name] = s.Duration
 	}
-	if sum := st.TokenizeTime + st.TemplateTime + st.ExtractTime + st.SolveTime; sum > st.Wall {
+	tokenize := byName[stage.StageTokenize]
+	extract := byName[stage.StageExtract] + byName[stage.StageObserve]
+	solve := byName[stage.StageSegment]
+	if tokenize <= 0 || extract <= 0 || solve <= 0 {
+		t.Errorf("stage times not recorded: %+v", st.Stages)
+	}
+	if sum := tokenize + extract + solve; sum > st.Wall {
 		t.Errorf("stage times %v exceed wall %v", sum, st.Wall)
 	}
 	if st.EMIters == 0 {

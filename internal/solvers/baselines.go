@@ -14,24 +14,21 @@ import (
 // measures what the constraints buy.
 type Greedy struct{}
 
-// Name implements stage.Solver.
-func (Greedy) Name() string { return "greedy" }
-
-// Solve implements stage.Solver.
-func (Greedy) Solve(ctx context.Context, p *stage.Problem) (*stage.Assignment, error) {
-	asg := newAssignment(len(p.Candidates))
+// Solve implements Solver.
+func (Greedy) Solve(ctx context.Context, p *stage.Problem) (*Result, error) {
+	res := newResult(len(p.Candidates))
 	cur := 0
 	for i, cands := range p.Candidates {
-		asg.Records[i] = -1
+		res.Records[i] = -1
 		for _, r := range cands {
 			if r >= cur {
-				asg.Records[i] = r
+				res.Records[i] = r
 				cur = r
 				break
 			}
 		}
 	}
-	return asg, nil
+	return res, nil
 }
 
 // Uniform is a layout-only baseline: split the analyzed extracts into
@@ -40,18 +37,15 @@ func (Greedy) Solve(ctx context.Context, p *stage.Problem) (*stage.Assignment, e
 // nothing else — the floor any evidence-driven method must beat.
 type Uniform struct{}
 
-// Name implements stage.Solver.
-func (Uniform) Name() string { return "uniform" }
-
-// Solve implements stage.Solver.
-func (Uniform) Solve(ctx context.Context, p *stage.Problem) (*stage.Assignment, error) {
+// Solve implements Solver.
+func (Uniform) Solve(ctx context.Context, p *stage.Problem) (*Result, error) {
 	n := len(p.Candidates)
-	asg := newAssignment(n)
+	res := newResult(n)
 	if p.NumRecords <= 0 {
-		for i := range asg.Records {
-			asg.Records[i] = -1
+		for i := range res.Records {
+			res.Records[i] = -1
 		}
-		return asg, nil
+		return res, nil
 	}
 	per := (n + p.NumRecords - 1) / p.NumRecords // ceil(n/K)
 	if per == 0 {
@@ -62,7 +56,7 @@ func (Uniform) Solve(ctx context.Context, p *stage.Problem) (*stage.Assignment, 
 		if r >= p.NumRecords {
 			r = p.NumRecords - 1
 		}
-		asg.Records[i] = r
+		res.Records[i] = r
 	}
-	return asg, nil
+	return res, nil
 }

@@ -10,8 +10,8 @@ import (
 
 // Combined is the paper's combination method: trust the CSP only when
 // the strict constraints hold; any inconsistency hands the page to the
-// probabilistic model. Its Details carry the strict CSP result first
-// and, when the fallback fired, the PHMM result after it.
+// probabilistic model. Its Result carries the strict CSP outcome and,
+// when the fallback fired, the PHMM's as well.
 type Combined struct {
 	CSP  csp.SolveParams
 	PHMM phmm.Params
@@ -19,27 +19,23 @@ type Combined struct {
 	Columns bool
 }
 
-// Name implements stage.Solver.
-func (s *Combined) Name() string { return "combined" }
-
-// Solve implements stage.Solver.
-func (s *Combined) Solve(ctx context.Context, p *stage.Problem) (*stage.Assignment, error) {
-	asg := newAssignment(len(p.Candidates))
+// Solve implements Solver.
+func (s *Combined) Solve(ctx context.Context, p *stage.Problem) (*Result, error) {
+	res := newResult(len(p.Candidates))
 	params := s.CSP
 	params.NoRelax = true
-	res, err := solveCSP(ctx, p, params, asg)
-	if err != nil {
+	if err := res.solveCSP(ctx, p, params, csp.SolveSegmentationContext); err != nil {
 		return nil, err
 	}
-	if res.Status == csp.Solved {
-		copy(asg.Records, res.Records)
-		if err := assignColumns(ctx, s.Columns, p, asg, s.CSP.WSAT); err != nil {
+	if res.CSP.Status == csp.Solved {
+		copy(res.Records, res.CSP.Records)
+		if err := res.assignColumns(ctx, s.Columns, p, s.CSP.WSAT); err != nil {
 			return nil, err
 		}
-		return asg, nil
+		return res, nil
 	}
-	if err := solvePHMM(ctx, p, s.PHMM, asg); err != nil {
+	if err := res.solvePHMM(ctx, p, s.PHMM); err != nil {
 		return nil, err
 	}
-	return asg, nil
+	return res, nil
 }

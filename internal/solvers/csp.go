@@ -16,65 +16,62 @@ type CSP struct {
 	Columns bool
 }
 
-// Name implements stage.Solver.
-func (s *CSP) Name() string { return "csp" }
-
-// Solve implements stage.Solver. A Failed status after the full
-// relaxation ladder means no feasible assignment exists at all; the
-// returned Assignment is marked Exhausted and the orchestrator reports
-// the typed unsatisfiability error. Under NoRelax or with repair
-// disabled (negative MaxCutRounds) a failure is the outcome those
-// ablation configurations ask to observe, so the assignment is
-// returned as-is with the failure visible in Details.
-func (s *CSP) Solve(ctx context.Context, p *stage.Problem) (*stage.Assignment, error) {
-	asg := newAssignment(len(p.Candidates))
-	res, err := solveCSP(ctx, p, s.Params, asg)
-	if err != nil {
+// Solve implements Solver. A Failed status after the full relaxation
+// ladder means no feasible assignment exists at all; the returned
+// Result is marked Exhausted and the orchestrator reports the typed
+// unsatisfiability error. Under NoRelax or with repair disabled
+// (negative MaxCutRounds) a failure is the outcome those ablation
+// configurations ask to observe, so the assignment is returned as-is
+// with the failure visible in Result.CSP.
+func (s *CSP) Solve(ctx context.Context, p *stage.Problem) (*Result, error) {
+	res := newResult(len(p.Candidates))
+	if err := res.solveCSP(ctx, p, s.Params, csp.SolveSegmentationContext); err != nil {
 		return nil, err
 	}
-	if res.Status == csp.Failed && !s.Params.NoRelax && s.Params.MaxCutRounds >= 0 {
-		asg.Exhausted = true
-		return asg, nil
+	if res.CSP.Status == csp.Failed && !s.Params.NoRelax && s.Params.MaxCutRounds >= 0 {
+		res.Exhausted = true
+		return res, nil
 	}
-	copy(asg.Records, res.Records)
-	if err := assignColumns(ctx, s.Columns, p, asg, s.Params.WSAT); err != nil {
+	copy(res.Records, res.CSP.Records)
+	if err := res.assignColumns(ctx, s.Columns, p, s.Params.WSAT); err != nil {
 		return nil, err
 	}
-	return asg, nil
+	return res, nil
 }
 
-// solveCSP runs one CSP segmentation solve and folds its diagnostics
-// into the assignment (counters, Details). The record copy is the
-// caller's: failure handling differs per solver.
-func solveCSP(ctx context.Context, p *stage.Problem, params csp.SolveParams, asg *stage.Assignment) (*csp.SegmentResult, error) {
+// solveCSP runs one CSP segmentation solve, keeping its outcome in
+// res.CSP and adding its effort to the counters. The record copy is
+// the caller's: failure handling differs per solver.
+func (res *Result) solveCSP(ctx context.Context, p *stage.Problem, params csp.SolveParams,
+	solve func(context.Context, csp.SegmentInput, csp.SolveParams) (*csp.SegmentResult, error)) error {
 	sin := csp.SegmentInput{
 		NumRecords:     p.NumRecords,
 		Candidates:     p.Candidates,
 		PositionGroups: p.PositionGroups,
 	}
-	res, err := csp.SolveSegmentationContext(ctx, sin, params)
-	if err != nil {
-		return nil, err
-	}
-	asg.Counters.Add(stage.Counters{
-		WSATRestarts: res.Restarts,
-		WSATFlips:    res.Flips,
-		CutRounds:    res.CutRounds,
-	})
-	asg.Details = append(asg.Details, res)
-	return res, nil
-}
-
-// assignColumns optionally runs §6.3 CSP column assignment over the
-// solved records, writing into asg.Columns.
-func assignColumns(ctx context.Context, enabled bool, p *stage.Problem, asg *stage.Assignment, params csp.WSATParams) error {
-	if !enabled {
-		return nil
-	}
-	cols, err := csp.AssignColumns(ctx, asg.Records, p.FirstTypes, params)
+	out, err := solve(ctx, sin, params)
 	if err != nil {
 		return err
 	}
-	copy(asg.Columns, cols)
+	res.Counters.Add(stage.Counters{
+		WSATRestarts: out.Restarts,
+		WSATFlips:    out.Flips,
+		CutRounds:    out.CutRounds,
+	})
+	res.CSP = out
+	return nil
+}
+
+// assignColumns optionally runs §6.3 CSP column assignment over the
+// solved records, writing into res.Columns.
+func (res *Result) assignColumns(ctx context.Context, enabled bool, p *stage.Problem, params csp.WSATParams) error {
+	if !enabled {
+		return nil
+	}
+	cols, err := csp.AssignColumns(ctx, res.Records, p.FirstTypes, params)
+	if err != nil {
+		return err
+	}
+	copy(res.Columns, cols)
 	return nil
 }

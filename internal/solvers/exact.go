@@ -11,61 +11,31 @@ import (
 // Exact is a complete solver over the strict encoding: depth-first
 // search with bounds propagation, plus the same lazy consecutiveness
 // repair the local-search pipeline uses. Unlike WSAT it certifies
-// unsatisfiability, so a Failed outcome is a proof, not a timeout; it
-// never relaxes. Intended for validating the local-search solvers on
-// small instances and for the UNSAT side of Table 2's "no solution"
-// rows.
+// unsatisfiability, so a Failed outcome is a proof or exhausted cut
+// rounds, not a timeout; it never relaxes. Intended for validating the
+// local-search solvers on small instances and for the UNSAT side of
+// Table 2's "no solution" rows.
 type Exact struct {
 	Params csp.SolveParams
 	// Columns enables §6.3 CSP column assignment after segmentation.
 	Columns bool
 }
 
-// exactDefaultCutRounds mirrors the local-search pipeline's default
-// bound on lazy consecutiveness repair.
-const exactDefaultCutRounds = 5
-
-// Name implements stage.Solver.
-func (s *Exact) Name() string { return "exact" }
-
-// Solve implements stage.Solver. It encodes strictly, solves exactly,
-// and on a solution with contiguity holes adds the violated
-// consecutiveness cuts and re-solves, up to MaxCutRounds times.
-// Provable unsatisfiability marks the assignment Exhausted.
-func (s *Exact) Solve(ctx context.Context, p *stage.Problem) (*stage.Assignment, error) {
-	asg := newAssignment(len(p.Candidates))
-	enc := csp.Encode(csp.SegmentInput{
-		NumRecords:     p.NumRecords,
-		Candidates:     p.Candidates,
-		PositionGroups: p.PositionGroups,
-	}, csp.Strict)
-	maxRounds := s.Params.MaxCutRounds
-	if maxRounds == 0 {
-		maxRounds = exactDefaultCutRounds
+// Solve implements Solver. It runs csp.SolveSegmentationExact, the
+// strict rung of the CSP pipeline with the exact search in place of
+// WSAT; a Failed status marks the Result Exhausted.
+func (s *Exact) Solve(ctx context.Context, p *stage.Problem) (*Result, error) {
+	res := newResult(len(p.Candidates))
+	if err := res.solveCSP(ctx, p, s.Params, csp.SolveSegmentationExact); err != nil {
+		return nil, fmt.Errorf("solvers: exact segmentation: %w", err)
 	}
-	var records []int
-	for round := 0; ; round++ {
-		assign, sat, err := csp.SolveExact(ctx, enc.Problem, csp.ExactParams{})
-		if err != nil {
-			return nil, fmt.Errorf("solvers: exact segmentation: %w", err)
-		}
-		if !sat {
-			asg.Exhausted = true
-			return asg, nil
-		}
-		records = enc.Decode(assign)
-		cuts := enc.ConsecutivenessCuts(records)
-		if len(cuts) == 0 || round >= maxRounds {
-			break
-		}
-		for _, c := range cuts {
-			enc.Problem.Add(c)
-		}
-		asg.Counters.Add(stage.Counters{CutRounds: 1})
+	if res.CSP.Status == csp.Failed {
+		res.Exhausted = true
+		return res, nil
 	}
-	copy(asg.Records, records)
-	if err := assignColumns(ctx, s.Columns, p, asg, s.Params.WSAT); err != nil {
+	copy(res.Records, res.CSP.Records)
+	if err := res.assignColumns(ctx, s.Columns, p, s.Params.WSAT); err != nil {
 		return nil, err
 	}
-	return asg, nil
+	return res, nil
 }

@@ -15,37 +15,34 @@ type PHMM struct {
 	Params phmm.Params
 }
 
-// Name implements stage.Solver.
-func (s *PHMM) Name() string { return "probabilistic" }
-
-// Solve implements stage.Solver.
-func (s *PHMM) Solve(ctx context.Context, p *stage.Problem) (*stage.Assignment, error) {
-	asg := newAssignment(len(p.Candidates))
-	if err := solvePHMM(ctx, p, s.Params, asg); err != nil {
+// Solve implements Solver.
+func (s *PHMM) Solve(ctx context.Context, p *stage.Problem) (*Result, error) {
+	res := newResult(len(p.Candidates))
+	if err := res.solvePHMM(ctx, p, s.Params); err != nil {
 		return nil, err
 	}
-	return asg, nil
+	return res, nil
 }
 
-// solvePHMM runs one PHMM segmentation solve, writing the records,
-// columns, confidence and diagnostics into the assignment.
-func solvePHMM(ctx context.Context, p *stage.Problem, params phmm.Params, asg *stage.Assignment) error {
+// solvePHMM runs one PHMM segmentation solve, keeping its outcome in
+// res.PHMM and writing the records, columns, confidence and counters.
+func (res *Result) solvePHMM(ctx context.Context, p *stage.Problem, params phmm.Params) error {
 	inst := phmm.Instance{
 		NumRecords: p.NumRecords,
 		Candidates: p.Candidates,
 		TypeVecs:   p.TypeVecs,
 	}
-	res, err := phmm.SegmentContext(ctx, inst, params)
+	out, err := phmm.SegmentContext(ctx, inst, params)
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		return fmt.Errorf("solvers: probabilistic segmentation: %w", err)
 	}
-	asg.Counters.Add(stage.Counters{EMIters: res.Iters})
-	asg.Details = append(asg.Details, res)
-	copy(asg.Records, res.Records)
-	copy(asg.Columns, res.Columns)
-	copy(asg.Confidence, res.Confidence)
+	res.Counters.Add(stage.Counters{EMIters: out.Iters})
+	res.PHMM = out
+	copy(res.Records, out.Records)
+	copy(res.Columns, out.Columns)
+	copy(res.Confidence, out.Confidence)
 	return nil
 }

@@ -145,7 +145,7 @@ func (c *Counters) Add(other Counters) {
 }
 
 // Assignment is the Segment stage's artifact: one record (and
-// optionally column) per analyzed extract, plus solver diagnostics.
+// optionally column) per analyzed extract, plus the solver's effort.
 type Assignment struct {
 	// Records[i] is the record assigned to analyzed extract i, or -1
 	// when the solver left it unassigned (relaxed CSP solutions).
@@ -160,14 +160,10 @@ type Assignment struct {
 	// finding any feasible assignment — the orchestrator classifies it
 	// as a typed unsatisfiability error. Solvers whose configuration
 	// asks to observe failures (ablations) leave it false and report
-	// through Details instead.
+	// the failure in their own result instead.
 	Exhausted bool
 	// Counters totals the solver's effort.
 	Counters Counters
-	// Details carries solver-specific diagnostics in the order they
-	// were produced (e.g. a *csp.SegmentResult, a *phmm.Result); the
-	// orchestrator type-switches to surface them on the Segmentation.
-	Details []any
 }
 
 // Record is the PostProcess stage's artifact: one segmented record.

@@ -1,25 +1,25 @@
 // Package stage decomposes the paper's pipeline (§3–§6) into an
 // explicit stage graph: each stage is a pure function over exported
-// artifact types, and the segmentation algorithms behind the Segment
-// stage implement a single Solver interface resolved through a
-// registry. The stages, in pipeline order, and the paper sections they
-// reproduce:
+// artifact types. The stages, in pipeline order, and the paper
+// sections they reproduce:
 //
 //	Tokenize       §3.1  pages -> token streams
 //	InduceTemplate §3.1  sample list pages -> page template
 //	SelectSlot     §3.1  template + target page -> table slot
 //	Extract        §3.2  table slot -> extracts
 //	Observe        §3.2  extracts x detail pages -> observation matrix
-//	Segment        §4/§5 problem -> record assignment (via a Solver)
+//	Segment        §4/§5 problem -> record assignment (internal/solvers)
 //	PostProcess    §6.2  assignment -> records (+ §3.4 column labels)
 //
 // The package deliberately knows nothing about the algorithms: it may
-// not import the solver packages (internal/csp, internal/phmm,
-// internal/baseline) — an invariant enforced by tableseglint's
-// stagepurity analyzer — so any algorithm that can express itself over
-// a Problem plugs in without touching the stages. Orchestration
-// (fallbacks, retries, error classification) lives in internal/core;
-// artifact caching and concurrency live in internal/engine.
+// not import the algorithm packages (internal/csp, internal/phmm,
+// internal/baseline) or internal/solvers — an invariant enforced by
+// tableseglint's stagepurity analyzer. It defines the Segment stage's
+// input (Problem) and output (Assignment); internal/solvers runs the
+// algorithms between them, and internal/core runs the chosen solver
+// as the Segment stage. Orchestration (fallbacks, retries, error
+// classification) lives in internal/core; artifact caching and
+// concurrency live in internal/engine.
 //
 // Every stage has the shape func(ctx, In) (Out, error). Run them
 // through Instrument to get per-stage wall times (via the audited

@@ -243,23 +243,3 @@ func BuildProblem(m *ObservationMatrix) *Problem {
 	}
 	return p
 }
-
-// SegmentIn feeds the Segment stage.
-type SegmentIn struct {
-	// Problem is the solver input.
-	Problem *Problem
-	// Solver is the algorithm to run (from the registry or custom).
-	Solver Solver
-}
-
-// Segment runs the selected Solver over the Problem (§4/§5): the one
-// stage whose behavior is pluggable.
-func Segment(ctx context.Context, in SegmentIn) (*Assignment, error) {
-	if in.Solver == nil {
-		return nil, fmt.Errorf("stage: Segment needs a Solver")
-	}
-	if in.Problem == nil {
-		return nil, fmt.Errorf("stage: Segment needs a Problem")
-	}
-	return in.Solver.Solve(ctx, in.Problem)
-}

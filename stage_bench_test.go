@@ -2,9 +2,9 @@ package tableseg
 
 // Per-stage microbenchmarks over the stage graph (internal/stage): one
 // benchmark per pipeline stage on a representative generated site, one
-// for decoding a cached token stream, one solver benchmark per registry
-// entry on the same Problem, one WSAT restart inside the CSP solver and
-// one EM iteration inside the probabilistic solver. `make bench` exports
+// for decoding a cached token stream, one solver benchmark per name in
+// solvers.Names on the same Problem, one WSAT restart inside the CSP
+// solver and one EM iteration inside the probabilistic solver. `make bench` exports
 // their results as BENCH_stages.json (via cmd/benchjson) so stage-level
 // regressions show up as structured diffs; `make bench-check` fails
 // when allocs/op grow past it, and CI smoke-runs them with
@@ -72,9 +72,11 @@ func newStageFixture(b *testing.B, slug string, page int) *stageFixture {
 		b.Fatal("fixture has no analyzed extracts")
 	}
 	f.prob = stage.BuildProblem(f.matrix)
-	if f.asg, err = stage.Segment(ctx, stage.SegmentIn{Problem: f.prob, Solver: f.solver(b, "csp")}); err != nil {
+	res, err := f.solver(b, "csp").Solve(ctx, f.prob)
+	if err != nil {
 		b.Fatal(err)
 	}
+	f.asg = &res.Assignment
 	return f
 }
 
@@ -117,11 +119,11 @@ func (f *stageFixture) postIn() stage.PostIn {
 	}
 }
 
-// solver builds a registry solver under the default reproduction
+// solver builds the named solver under the default reproduction
 // parameters.
-func (f *stageFixture) solver(b *testing.B, name string) stage.Solver {
+func (f *stageFixture) solver(b *testing.B, name string) solvers.Solver {
 	b.Helper()
-	s, err := stage.NewSolver(name, solvers.Config{
+	s, err := solvers.New(name, solvers.Config{
 		CSP:        core.DefaultOptions(core.CSP).CSPParams,
 		PHMM:       core.DefaultOptions(core.Probabilistic).PHMMParams,
 		CSPColumns: core.DefaultOptions(core.CSP).CSPColumns,
@@ -217,18 +219,18 @@ func BenchmarkStagePostProcess(b *testing.B) {
 	}
 }
 
-// BenchmarkSolver runs every registered solver over the fixture's
-// Problem (the Segment stage with each pluggable algorithm). Solvers
-// may exhaust their fallbacks on this input (Exhausted is a result, not
-// an error); only hard errors fail the benchmark.
+// BenchmarkSolver runs every solver over the fixture's Problem (the
+// Segment stage with each algorithm). Solvers may exhaust their
+// fallbacks on this input (Exhausted is a result, not an error); only
+// hard errors fail the benchmark.
 func BenchmarkSolver(b *testing.B) {
 	f := newStageFixture(b, "allegheny", 0)
-	for _, name := range stage.RegisteredSolvers() {
+	for _, name := range solvers.Names() {
 		s := f.solver(b, name)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				asg, err := stage.Segment(context.Background(), stage.SegmentIn{Problem: f.prob, Solver: s})
-				if err != nil || asg == nil {
+				res, err := s.Solve(context.Background(), f.prob)
+				if err != nil || res == nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,10 +8,10 @@ import (
 )
 
 // Engine is a reusable, concurrent batch segmenter: tasks fan out over
-// a bounded worker pool, per-site templates and tokenized sample pages
-// are cached by list-page content hash, and each result carries typed
-// errors plus per-stage instrumentation. Results are identical to
-// serial Segment calls regardless of concurrency.
+// bounded workers, token streams are cached by page content hash and
+// per-site templates by list-page content hash, and each result
+// carries typed errors plus per-stage instrumentation. Results are
+// identical to serial Segment calls regardless of concurrency.
 //
 //	eng, err := tableseg.NewEngine(tableseg.EngineConfig{
 //	    Options: tableseg.DefaultOptions(tableseg.Probabilistic),
@@ -21,12 +21,13 @@ import (
 //	    use(res.Index, res.Seg, res.Stats)
 //	}
 //
-// Two submission surfaces share the pool and caches: Stream for a
-// batch — an order-independent, backpressured pipe of tasks whose
-// results carry their submission Index — and Submit/Close for
-// long-running services that admit independent one-off tasks
-// (tablesegd is built on it). Both produce results byte-identical to
-// serial Segment calls.
+// Two submission surfaces share the caches: Stream for a batch — an
+// order-independent, backpressured pipe of tasks whose results carry
+// their submission Index — and Submit/Close for long-running services
+// that admit independent one-off tasks (tablesegd is built on it).
+// Each Stream call runs its own Concurrency workers; only Submit calls
+// share one pool of Concurrency slots. Both produce results
+// byte-identical to serial Segment calls.
 type Engine = engine.Engine
 
 // EngineConfig configures NewEngine; see engine.Config.

@@ -65,6 +65,9 @@ func TestCombinedFallsBackOnDirtyData(t *testing.T) {
 	if seg.PHMM == nil {
 		t.Error("combined did not fall back to the probabilistic model")
 	}
+	if seg.Relaxed {
+		t.Error("Relaxed is true, but combined runs only the strict CSP rung")
+	}
 	if len(seg.Records) != len(site.Lists[1].Truth) {
 		t.Errorf("%d records, want %d", len(seg.Records), len(site.Lists[1].Truth))
 	}

@@ -15,57 +15,18 @@ import (
 	"fmt"
 
 	"tableseg/internal/baseline"
-	"tableseg/internal/pagetemplate"
 	"tableseg/internal/solvers"
 	"tableseg/internal/stage"
 	"tableseg/internal/token"
 )
 
-// SitePrep holds the per-site artifacts of a segmentation task that do
-// not depend on the target page or the detail pages: the tokenized
-// sample list pages and the template induced from them. A SitePrep is
-// immutable once built, so one prep may back many concurrent Segment
-// calls for the same site (the engine's template cache relies on this).
-type SitePrep struct {
-	// ListToks are the tokenized list pages, parallel to the ListPages
-	// the prep was built from.
-	ListToks [][]token.Token
-	// Tpl is the induced page template, nil when fewer than two sample
-	// pages were available.
-	Tpl *pagetemplate.Template
-}
-
-// PrepareSite tokenizes a site's sample list pages and induces their
-// shared template, for reuse across every task that targets the site.
-// A non-nil cache resolves tokenization through it (and retains the
-// streams for later detail-page hits).
-func PrepareSite(listPages []Page, cache stage.TokenCache) *SitePrep {
-	prep := &SitePrep{ListToks: make([][]token.Token, len(listPages))}
-	for i, p := range listPages {
-		if cache != nil {
-			prep.ListToks[i] = cache.Tokens(p)
-		} else {
-			prep.ListToks[i] = token.Tokenize(p.HTML)
-		}
-	}
-	if len(listPages) >= 2 {
-		prep.Tpl = pagetemplate.Induce(prep.ListToks)
-	}
-	return prep
-}
-
 // Env carries the batch-processing hooks of one Segment call. The zero
-// Env is valid: no reuse, no observation, no collection.
+// Env is valid: no caching, no observation, no collection.
 type Env struct {
-	// Prep, when non-nil, supplies the tokenized list pages and induced
-	// template (it must have been built from the input's ListPages), so
-	// repeated tasks against one site skip re-tokenization and
-	// re-induction.
-	Prep *SitePrep
-	// Tokens, when non-nil, resolves page tokenization through a shared
-	// content-addressed artifact cache (the engine shares detail pages
-	// across tasks through it).
-	Tokens stage.TokenCache
+	// Cache, when non-nil, resolves page tokenization and template
+	// induction through a shared artifact cache (the engine passes one
+	// per task; the Tokenize and InduceTemplate stages consult it).
+	Cache stage.Cache
 	// Observer, when non-nil, receives a callback at every stage
 	// boundary, in addition to the Stats collection.
 	Observer stage.Observer
@@ -116,14 +77,9 @@ func SegmentEnv(ctx context.Context, in Input, opts Options, env Env) (*Segmenta
 		return nil, err
 	}
 
-	// Tokenize everything (through the prep and cache when supplied).
-	var preparedLists [][]token.Token
-	if env.Prep != nil {
-		preparedLists = env.Prep.ListToks
-	}
+	// Tokenize everything (through the cache when supplied).
 	toks, err := stage.Instrument(ctx, stage.StageTokenize, obs, stage.Tokenize, stage.TokenizeIn{
-		ListPages: in.ListPages, DetailPages: in.DetailPages,
-		PreparedLists: preparedLists, Cache: env.Tokens,
+		ListPages: in.ListPages, DetailPages: in.DetailPages, Cache: env.Cache,
 	})
 	if err != nil {
 		return nil, err
@@ -131,12 +87,8 @@ func SegmentEnv(ctx context.Context, in Input, opts Options, env Env) (*Segmenta
 	target := toks.Lists[in.Target].Tokens
 
 	// Template induction over the sample list pages.
-	var preparedTpl *pagetemplate.Template
-	if env.Prep != nil {
-		preparedTpl = env.Prep.Tpl
-	}
 	tpl, err := stage.Instrument(ctx, stage.StageInduceTemplate, obs, stage.InduceTemplate, stage.TemplateIn{
-		Lists: toks.Lists, Prepared: preparedTpl,
+		Lists: toks.Lists, Cache: env.Cache,
 	})
 	if err != nil {
 		return nil, err

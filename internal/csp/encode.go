@@ -359,7 +359,7 @@ func SolveSegmentationContext(ctx context.Context, in SegmentInput, params Solve
 	return &SegmentResult{
 		Records:  unassignedAll(len(in.Candidates)),
 		Status:   Failed,
-		Relaxed:  true,
+		Relaxed:  !params.NoRelax,
 		Flips:    flips,
 		Restarts: restarts,
 	}, nil

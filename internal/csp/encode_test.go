@@ -115,6 +115,11 @@ func TestSolveDirtyDataRelaxes(t *testing.T) {
 	if !res.Relaxed {
 		t.Error("Relaxed flag not set")
 	}
+	// Without the ladder the same instance fails, and the relaxed rung
+	// never ran.
+	if res := solveSegmentation(in, SolveParams{WSAT: WSATParams{Seed: 1}, ExactCheck: true, NoRelax: true}); res.Status != Failed || res.Relaxed {
+		t.Errorf("NoRelax: status = %v, relaxed = %v, want failed, false", res.Status, res.Relaxed)
+	}
 	// The polluted extract must be left unassigned; the clean ones
 	// keep their records.
 	if res.Records[5] != -1 {

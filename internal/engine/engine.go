@@ -16,8 +16,10 @@
 // Artifacts are serialized (internal/stage codec) into a tiered store
 // (internal/artifact): a bounded in-memory LRU, optionally fronting a
 // disk tier that persists across restarts and can be shared between
-// processes pointed at one cache directory. Completed task results are
-// journaled to the same store, so a batch interrupted mid-run and
+// processes pointed at one cache directory. Each task reaches the
+// store through its stages: Tokenize and InduceTemplate look their
+// artifacts up through the task's stage.Cache. Completed task results
+// are journaled to the same store, so a batch interrupted mid-run and
 // restarted with Resume skips finished tasks and produces byte-identical
 // output to an uninterrupted run.
 package engine
@@ -38,6 +40,7 @@ import (
 	"tableseg/internal/artifact"
 	"tableseg/internal/clock"
 	"tableseg/internal/core"
+	"tableseg/internal/pagetemplate"
 	"tableseg/internal/stage"
 	"tableseg/internal/token"
 )
@@ -56,10 +59,6 @@ type Config struct {
 	// Concurrency bounds the worker pool. Zero selects
 	// runtime.GOMAXPROCS(0); negative values are rejected by Validate.
 	Concurrency int
-	// DisableCache turns off the artifact store entirely (each task
-	// then pays full tokenization and induction, and nothing is
-	// journaled; useful for benchmarking the cache's contribution).
-	DisableCache bool
 	// Observer, when non-nil, receives a callback at every pipeline
 	// stage boundary of every task, in addition to the per-task Stats
 	// collection — the seam a server uses to feed latency histograms
@@ -67,9 +66,10 @@ type Config struct {
 	// observer must be safe for concurrent use; callbacks carry only
 	// diagnostics and never influence segmentation output.
 	Observer stage.Observer
-	// Store, when non-nil, replaces the engine-built artifact store
-	// (ignored when DisableCache is set). Most callers leave it nil and
-	// configure the built-in tiers via CacheDir and the budgets below.
+	// Store, when non-nil, replaces the engine-built artifact store,
+	// through which every task's tokens, template and result pass. Most
+	// callers leave it nil and configure the built-in tiers via
+	// CacheDir and the budgets below.
 	Store artifact.Store
 	// CacheDir, when non-empty, adds a disk tier rooted there behind
 	// the in-memory LRU. The directory persists artifacts across
@@ -84,8 +84,8 @@ type Config struct {
 	CacheDiskBytes int64
 	// Resume makes every task consult the result journal before
 	// computing: a task whose (input content, options) pair already has
-	// a journaled result returns it without recomputation. Requires
-	// caching; pair it with CacheDir to survive process death.
+	// a journaled result returns it without recomputation. Pair it with
+	// CacheDir to survive process death.
 	Resume bool
 }
 
@@ -100,9 +100,6 @@ func (c Config) Validate() error {
 	}
 	if c.CacheDiskBytes < 0 {
 		return fmt.Errorf("%w: negative CacheDiskBytes %d", core.ErrBadOptions, c.CacheDiskBytes)
-	}
-	if c.Resume && c.DisableCache {
-		return fmt.Errorf("%w: Resume requires caching (DisableCache is set)", core.ErrBadOptions)
 	}
 	return c.Options.Validate()
 }
@@ -129,15 +126,15 @@ type TaskStats struct {
 	core.Stats
 	// Wall is the task's end-to-end wall time inside the worker.
 	Wall time.Duration
-	// TemplateCacheHit is true when the task reused a previously
-	// prepared site (tokenized list pages + induced template) instead
-	// of computing its own.
+	// TemplateCacheHit is true when the task reused the template of
+	// its list pages, induced earlier or by a concurrent task, instead
+	// of inducing its own.
 	TemplateCacheHit bool
 	// TokenCacheHits and TokenCacheMisses count the task's lookups in
-	// the engine's content-addressed token cache (0/0 when caching is
-	// disabled). Detail pages shared across tasks — the same input
-	// segmented under several methods, or one site's pages reappearing
-	// as targets — hit instead of re-tokenizing.
+	// the engine's content-addressed token cache. Detail pages shared
+	// across tasks — the same input segmented under several methods,
+	// or one site's pages reappearing as targets — hit instead of
+	// re-tokenizing.
 	TokenCacheHits, TokenCacheMisses int
 	// ResultCacheHit is true when the whole task was answered from the
 	// result journal (Resume): no pipeline stage ran.
@@ -168,14 +165,12 @@ type Result struct {
 type Engine struct {
 	opts     core.Options
 	workers  int
-	caching  bool
 	resume   bool
 	observer stage.Observer
-	// store holds serialized artifacts; nil exactly when caching is
-	// disabled.
+	// store holds serialized artifacts.
 	store artifact.Store
 
-	// mu guards sitesSeen: the distinct site keys prepared so far.
+	// mu guards sitesSeen: the distinct template keys looked up so far.
 	mu        sync.Mutex
 	sitesSeen map[artifact.Key]struct{}
 
@@ -234,20 +229,22 @@ func (e *Engine) doOnce(k artifact.Key, compute func() any) (val any, joined boo
 }
 
 // cacheView is one task's window onto the engine's artifact store: it
-// implements stage.TokenCache and counts the task's hits and misses
-// (the store is engine-global and unaware of tasks). It takes each
-// page's token key from the digests the task computed when it started,
-// so a lookup never hashes a page again. Not safe for concurrent use;
-// each task owns one.
+// implements stage.Cache and counts the task's hits and misses (the
+// store is engine-global and unaware of tasks). It takes every key from
+// the digests the task computed when it started, so a lookup never
+// hashes a page again. Not safe for concurrent use; each task owns one.
 type cacheView struct {
 	eng *Engine
 	// digests maps the HTML of each of the task's pages to its SHA-256.
-	digests      map[string][sha256.Size]byte
+	digests map[string][sha256.Size]byte
+	// lists are the list pages' digests, in order: the template key.
+	lists        [][sha256.Size]byte
 	hits, misses int
+	templateHit  bool
 }
 
 func newCacheView(e *Engine, in core.Input, d pageDigests) *cacheView {
-	v := &cacheView{eng: e, digests: make(map[string][sha256.Size]byte, len(d.lists)+len(d.details))}
+	v := &cacheView{eng: e, digests: make(map[string][sha256.Size]byte, len(d.lists)+len(d.details)), lists: d.lists}
 	for i, p := range in.ListPages {
 		v.digests[p.HTML] = d.lists[i]
 	}
@@ -257,9 +254,9 @@ func newCacheView(e *Engine, in core.Input, d pageDigests) *cacheView {
 	return v
 }
 
-// Tokens implements stage.TokenCache: serve the page's token stream
-// from the store, or tokenize once (deduplicated across concurrent
-// tasks) and store the encoded stream.
+// Tokens implements stage.Cache: serve the page's token stream from
+// the store, or tokenize once (deduplicated across concurrent tasks)
+// and store the encoded stream.
 func (v *cacheView) Tokens(p core.Page) []token.Token {
 	sum, ok := v.digests[p.HTML]
 	if !ok {
@@ -287,46 +284,73 @@ func (v *cacheView) Tokens(p core.Page) []token.Token {
 	return val.([]token.Token)
 }
 
+// Template implements stage.Cache: serve the template of the task's
+// list pages from the store (possibly written by an earlier process),
+// or induce it once (deduplicated across concurrent tasks of the site)
+// and store it.
+func (v *cacheView) Template(induce func() *pagetemplate.Template) *pagetemplate.Template {
+	e := v.eng
+	k := templateKey(v.lists)
+	e.mu.Lock()
+	e.sitesSeen[k] = struct{}{}
+	e.mu.Unlock()
+	if data, ok := e.store.Get(k); ok {
+		if tpl, err := stage.DecodeTemplate(data); err == nil {
+			e.cacheStats.templateHits.Add(1)
+			v.templateHit = true
+			return tpl.Tpl
+		}
+	}
+	val, joined := e.doOnce(k, func() any {
+		tpl := induce()
+		e.store.Put(k, stage.EncodeTemplate(stage.Template{Tpl: tpl}))
+		return tpl
+	})
+	if joined {
+		e.cacheStats.templateHits.Add(1)
+	} else {
+		e.cacheStats.templateMisses.Add(1)
+	}
+	v.templateHit = joined
+	return val.(*pagetemplate.Template)
+}
+
 // CacheStats is a snapshot of the engine's artifact-cache counters,
 // accumulated across every task since the engine was created.
 type CacheStats struct {
 	// TokenHits and TokenMisses count content-addressed tokenization
 	// lookups (list and detail pages).
 	TokenHits, TokenMisses int64
-	// TemplateHits and TemplateMisses count per-site prep lookups
-	// (tokenized sample lists + induced template).
+	// TemplateHits and TemplateMisses count template lookups, one per
+	// task that reaches the InduceTemplate stage.
 	TemplateHits, TemplateMisses int64
 	// ResultHits and ResultMisses count result-journal lookups on
 	// resumed batches (both zero unless Resume is configured).
 	ResultHits, ResultMisses int64
 	// Tiers snapshots the store's per-tier counters (hits, misses,
 	// puts, evictions, absorbed errors, resident entries/bytes), fast
-	// tier first. Nil when caching is disabled.
+	// tier first.
 	Tiers []artifact.Stats
 }
 
 // CacheStats returns the engine's aggregate cache counters.
 func (e *Engine) CacheStats() CacheStats {
-	cs := CacheStats{
+	return CacheStats{
 		TokenHits:      e.cacheStats.tokenHits.Load(),
 		TokenMisses:    e.cacheStats.tokenMisses.Load(),
 		TemplateHits:   e.cacheStats.templateHits.Load(),
 		TemplateMisses: e.cacheStats.templateMisses.Load(),
 		ResultHits:     e.cacheStats.resultHits.Load(),
 		ResultMisses:   e.cacheStats.resultMisses.Load(),
+		Tiers:          e.store.Stats(),
 	}
-	if e.store != nil {
-		cs.Tiers = e.store.Stats()
-	}
-	return cs
 }
 
-// New creates an Engine after validating the configuration. With
-// caching enabled the engine builds its store from the config — a
-// bounded in-memory LRU, fronting a disk tier when CacheDir is set —
-// unless cfg.Store supplies one. Opening the disk tier can fail (e.g.
-// an unwritable directory); that error is returned rather than
-// silently degrading to memory-only.
+// New creates an Engine after validating the configuration. The engine
+// builds its store from the config — a bounded in-memory LRU, fronting
+// a disk tier when CacheDir is set — unless cfg.Store supplies one.
+// Opening the disk tier can fail (e.g. an unwritable directory); that
+// error is returned rather than silently degrading to memory-only.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -338,26 +362,23 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		opts:      cfg.Options,
 		workers:   workers,
-		caching:   !cfg.DisableCache,
 		resume:    cfg.Resume,
 		observer:  cfg.Observer,
+		store:     cfg.Store,
 		sitesSeen: make(map[artifact.Key]struct{}),
 		flights:   make(map[artifact.Key]*flight),
 		slots:     make(chan struct{}, workers),
 	}
-	if e.caching {
-		e.store = cfg.Store
-		if e.store == nil {
-			mem := artifact.NewMemory(cfg.CacheMemoryBytes)
-			if cfg.CacheDir != "" {
-				disk, err := artifact.OpenDisk(cfg.CacheDir, cfg.CacheDiskBytes)
-				if err != nil {
-					return nil, err
-				}
-				e.store = artifact.NewTiered(mem, disk)
-			} else {
-				e.store = mem
+	if e.store == nil {
+		mem := artifact.NewMemory(cfg.CacheMemoryBytes)
+		if cfg.CacheDir != "" {
+			disk, err := artifact.OpenDisk(cfg.CacheDir, cfg.CacheDiskBytes)
+			if err != nil {
+				return nil, err
 			}
+			e.store = artifact.NewTiered(mem, disk)
+		} else {
+			e.store = mem
 		}
 	}
 	return e, nil
@@ -367,7 +388,7 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Concurrency() int { return e.workers }
 
 // CachedSites returns the number of distinct sites (by list-page
-// content hash) the engine has prepared since creation.
+// content hash) whose template the engine has looked up since creation.
 func (e *Engine) CachedSites() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -459,44 +480,6 @@ func InputKey(in core.Input) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// prepFor returns the site prep for a task's list pages — decoded from
-// the store when the template was cached (possibly by an earlier
-// process), computed and stored otherwise — and reports whether the
-// prep was reused. listSums are the list pages' digests (nil when
-// caching is off). The view (nil only when caching is off) routes all
-// tokenization through the artifact store, so a site's list pages also
-// serve later detail-page lookups.
-func (e *Engine) prepFor(lists []core.Page, listSums [][sha256.Size]byte, view *cacheView) (*core.SitePrep, bool) {
-	if !e.caching {
-		return core.PrepareSite(lists, nil), false
-	}
-	k := templateKey(listSums)
-	e.mu.Lock()
-	e.sitesSeen[k] = struct{}{}
-	e.mu.Unlock()
-	if data, ok := e.store.Get(k); ok {
-		if tpl, err := stage.DecodeTemplate(data); err == nil {
-			prep := &core.SitePrep{ListToks: make([][]token.Token, len(lists)), Tpl: tpl.Tpl}
-			for i := range lists {
-				prep.ListToks[i] = view.Tokens(lists[i])
-			}
-			e.cacheStats.templateHits.Add(1)
-			return prep, true
-		}
-	}
-	val, joined := e.doOnce(k, func() any {
-		prep := core.PrepareSite(lists, view)
-		e.store.Put(k, stage.EncodeTemplate(stage.Template{Tpl: prep.Tpl}))
-		return prep
-	})
-	if joined {
-		e.cacheStats.templateHits.Add(1)
-	} else {
-		e.cacheStats.templateMisses.Add(1)
-	}
-	return val.(*core.SitePrep), joined
-}
-
 // runTask executes one task end to end on the calling worker.
 func (e *Engine) runTask(ctx context.Context, t Task, idx int) Result {
 	res := Result{Index: idx, ID: t.ID}
@@ -509,52 +492,31 @@ func (e *Engine) runTask(ctx context.Context, t Task, idx int) Result {
 	if t.Options != nil {
 		opts = *t.Options
 	}
-	// With caching on, each page is hashed once, here; every key of
-	// the task derives from these digests.
-	var (
-		sums pageDigests
-		rkey artifact.Key
-	)
-	if e.caching {
-		sums = digestInput(t.Input)
-		rkey = resultKey(sums.inputHash(t.Input.Target), opts)
-		if e.resume {
-			if cached, ok := e.lookupResult(rkey); ok {
-				cached.Index, cached.ID = idx, t.ID
-				cached.Stats.ResultCacheHit = true
-				cached.Stats.Wall = clock.Since(start)
-				e.cacheStats.resultHits.Add(1)
-				return cached
-			}
-			e.cacheStats.resultMisses.Add(1)
+	// Each page is hashed once, here; every key of the task derives
+	// from these digests.
+	sums := digestInput(t.Input)
+	rkey := resultKey(sums.inputHash(t.Input.Target), opts)
+	if e.resume {
+		if cached, ok := e.lookupResult(rkey); ok {
+			cached.Index, cached.ID = idx, t.ID
+			cached.Stats.ResultCacheHit = true
+			cached.Stats.Wall = clock.Since(start)
+			e.cacheStats.resultHits.Add(1)
+			return cached
 		}
+		e.cacheStats.resultMisses.Add(1)
 	}
-	env := core.Env{Stats: &res.Stats.Stats, Observer: e.observer}
-	var view *cacheView
-	if e.caching {
-		view = newCacheView(e, t.Input, sums)
-		env.Tokens = view
-	}
-	if len(t.Input.ListPages) > 0 {
-		// Concurrent tasks for the same site share one template
-		// induction through doOnce; the losers wait out the winner's
-		// bounded induction rather than redo it under cancellation.
-		//tableseglint:ignore ctxflow template induction is deduplicated via doOnce and bounded; cancellation applies to the segmentation that follows
-		env.Prep, res.Stats.TemplateCacheHit = e.prepFor(t.Input.ListPages, sums.lists, view)
-	}
-	res.Seg, res.Err = core.SegmentEnv(ctx, t.Input, opts, env)
-	if view != nil {
-		res.Stats.TokenCacheHits = view.hits
-		res.Stats.TokenCacheMisses = view.misses
-		e.cacheStats.tokenHits.Add(int64(view.hits))
-		e.cacheStats.tokenMisses.Add(int64(view.misses))
-	}
-	if e.caching {
-		// Journal the completed task — success or typed diagnostic
-		// error, never a cancellation — so a later Resume run skips it.
-		if payload, ok := encodeResult(res); ok {
-			e.store.Put(rkey, payload)
-		}
+	view := newCacheView(e, t.Input, sums)
+	res.Seg, res.Err = core.SegmentEnv(ctx, t.Input, opts, core.Env{Cache: view, Observer: e.observer, Stats: &res.Stats.Stats})
+	res.Stats.TemplateCacheHit = view.templateHit
+	res.Stats.TokenCacheHits = view.hits
+	res.Stats.TokenCacheMisses = view.misses
+	e.cacheStats.tokenHits.Add(int64(view.hits))
+	e.cacheStats.tokenMisses.Add(int64(view.misses))
+	// Journal the completed task — success or typed diagnostic error,
+	// never a cancellation — so a later Resume run skips it.
+	if payload, ok := encodeResult(res); ok {
+		e.store.Put(rkey, payload)
 	}
 	res.Stats.Wall = clock.Since(start)
 	return res
@@ -572,12 +534,12 @@ func (e *Engine) lookupResult(k artifact.Key) (Result, bool) {
 }
 
 // Stream consumes tasks until the channel closes, fanning them out
-// over the worker pool, and emits one Result per task on the returned
-// channel (closed once every task has been reported). Results arrive
-// in completion order — the stream is order-independent; use
-// Result.Index or ID to correlate — and the output buffer is bounded
-// by the worker count, so a slow consumer backpressures the pool
-// instead of accumulating results. On context cancellation in-flight
+// over Concurrency workers of its own (Submit's slots are not used),
+// and emits one Result per task on the returned channel (closed once
+// every task has been reported). Results arrive in completion order —
+// the stream is order-independent; use Result.Index or ID to correlate
+// — and the output buffer is bounded by the worker count, so a slow
+// consumer backpressures the workers instead of accumulating results. On context cancellation in-flight
 // solves abort at their next restart/iteration boundary and every
 // remaining task is reported with Err = ctx.Err(), so the result
 // stream always accounts for every submitted task. The caller must

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"tableseg/internal/artifact"
 	"tableseg/internal/core"
@@ -36,7 +37,6 @@ func TestEngineCacheConfigValidation(t *testing.T) {
 	cases := map[string]engine.Config{
 		"negative-memory": {CacheMemoryBytes: -1},
 		"negative-disk":   {CacheDiskBytes: -1},
-		"resume-no-cache": {Resume: true, DisableCache: true},
 	}
 	for name, cfg := range cases {
 		cfg.Options = core.DefaultOptions(core.CSP)
@@ -428,6 +428,110 @@ func TestEngineTemplateKeyFollowsListBytes(t *testing.T) {
 	for i, c := range cases {
 		if same := keys[i+1] == keys[0]; same != c.same {
 			t.Errorf("%s: template key unchanged = %v, want %v", c.name, same, c.same)
+		}
+	}
+}
+
+// stageLog is both an engine's store and its observer: it records the
+// stage boundaries and the store's Puts in the order they happen.
+type stageLog struct {
+	artifact.Store
+	mu     sync.Mutex
+	events []stageEvent
+}
+
+// stageEvent is a stage start or end (name set) or a Put (kind set).
+type stageEvent struct {
+	name  string
+	start bool
+	kind  artifact.Kind
+}
+
+func (l *stageLog) add(ev stageEvent) {
+	l.mu.Lock()
+	l.events = append(l.events, ev)
+	l.mu.Unlock()
+}
+
+func (l *stageLog) Put(k artifact.Key, payload []byte) {
+	l.add(stageEvent{kind: k.Kind})
+	l.Store.Put(k, payload)
+}
+
+func (l *stageLog) OnStageStart(name string) { l.add(stageEvent{name: name, start: true}) }
+
+func (l *stageLog) OnStageEnd(name string, _ time.Duration, _ error) {
+	l.add(stageEvent{name: name})
+}
+
+// TestEngineCacheWorkInsideStages pins where the engine's cache work
+// happens: on a cold cache every token Put falls inside the Tokenize
+// stage and the template Put inside InduceTemplate, so the stage
+// timings cover the lookups and the work done on a miss.
+func TestEngineCacheWorkInsideStages(t *testing.T) {
+	in := siteInput(t, "allegheny", 0)
+	rec := &stageLog{Store: artifact.NewMemory(0)}
+	eng, err := engine.New(engine.Config{Options: core.DefaultOptions(core.CSP), Concurrency: 1, Observer: rec, Store: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := runTasks(context.Background(), eng, []engine.Task{{Input: in}})[0]; r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	want := map[artifact.Kind]string{
+		artifact.KindTokens:   stage.StageTokenize,
+		artifact.KindTemplate: stage.StageInduceTemplate,
+	}
+	puts := map[artifact.Kind]int{}
+	running := "" // the stage between its start and end, if any
+	for _, ev := range rec.events {
+		switch {
+		case ev.name != "" && ev.start:
+			running = ev.name
+		case ev.name != "":
+			running = ""
+		case want[ev.kind] != "":
+			puts[ev.kind]++
+			if running != want[ev.kind] {
+				t.Errorf("%v Put %d ran in stage %q, want %q", ev.kind, puts[ev.kind], running, want[ev.kind])
+			}
+		}
+	}
+	if n := len(in.ListPages) + len(in.DetailPages); puts[artifact.KindTokens] != n {
+		t.Errorf("%d token Puts, want one per page (%d)", puts[artifact.KindTokens], n)
+	}
+	if puts[artifact.KindTemplate] != 1 {
+		t.Errorf("%d template Puts, want 1", puts[artifact.KindTemplate])
+	}
+}
+
+// TestEngineCancelBeforeInduction verifies that cancellation reaches
+// template induction: a context cancelled when Tokenize ends stops the
+// task before InduceTemplate starts, so no template is induced or
+// stored.
+func TestEngineCancelBeforeInduction(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelAfterTokenize := observerFunc{onEnd: func(name string, _ time.Duration, _ error) {
+		if name == stage.StageTokenize {
+			cancel()
+		}
+	}}
+	rec := &stageLog{Store: artifact.NewMemory(0)}
+	eng, err := engine.New(engine.Config{
+		Options: core.DefaultOptions(core.CSP), Concurrency: 1,
+		Observer: cancelAfterTokenize, Store: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := runTasks(ctx, eng, []engine.Task{{Input: siteInput(t, "allegheny", 0)}})[0]
+	if !errors.Is(r.Err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", r.Err)
+	}
+	for _, ev := range rec.events {
+		if ev.kind == artifact.KindTemplate {
+			t.Fatal("the cancelled task induced and stored a template")
 		}
 	}
 }

@@ -97,8 +97,9 @@ func TestEngineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEngineTemplateCache verifies per-site prep reuse: tasks sharing
-// the same sample list pages hit the cache, distinct sites do not.
+// TestEngineTemplateCache verifies per-site template reuse: tasks
+// sharing the same sample list pages hit the cache, distinct sites do
+// not.
 func TestEngineTemplateCache(t *testing.T) {
 	inA0 := siteInput(t, "allegheny", 0)
 	inA1 := siteInput(t, "allegheny", 1) // same site: same sample list pages
@@ -127,35 +128,9 @@ func TestEngineTemplateCache(t *testing.T) {
 	}
 }
 
-// TestEngineDisableCache verifies that DisableCache forces a fresh prep
-// for every task.
-func TestEngineDisableCache(t *testing.T) {
-	in := siteInput(t, "allegheny", 0)
-	eng, err := engine.New(engine.Config{
-		Options:      core.DefaultOptions(core.CSP),
-		Concurrency:  1,
-		DisableCache: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := runTasks(context.Background(), eng, []engine.Task{{Input: in}, {Input: in}})
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("task %d: %v", i, r.Err)
-		}
-		if r.Stats.TemplateCacheHit {
-			t.Errorf("task %d: cache hit with DisableCache", i)
-		}
-	}
-	if got := eng.CachedSites(); got != 0 {
-		t.Errorf("CachedSites() = %d, want 0", got)
-	}
-}
-
 // TestEnginePerTaskOptions verifies that a task-level options override
 // takes effect (the Table 4 harness relies on this to score one page
-// under both methods against a shared site prep).
+// under both methods against a shared site template).
 func TestEnginePerTaskOptions(t *testing.T) {
 	in := siteInput(t, "allegheny", 0)
 	eng, err := engine.New(engine.Config{Options: core.DefaultOptions(core.Probabilistic), Concurrency: 1})
@@ -315,8 +290,8 @@ func TestEngineConfigValidation(t *testing.T) {
 }
 
 // TestEngineTokenCache verifies the content-addressed token cache: a
-// repeated input re-reads every page from cache, the engine aggregates
-// the counters, and DisableCache keeps them at zero.
+// repeated input re-reads every page from cache, and the engine
+// aggregates the counters.
 func TestEngineTokenCache(t *testing.T) {
 	in := siteInput(t, "allegheny", 0)
 	eng, err := engine.New(engine.Config{Options: core.DefaultOptions(core.CSP), Concurrency: 1})
@@ -339,9 +314,8 @@ func TestEngineTokenCache(t *testing.T) {
 	if first.TokenCacheHits != 0 {
 		t.Errorf("first task: TokenCacheHits = %d, want 0 on a cold cache", first.TokenCacheHits)
 	}
-	// The second task re-reads every page from the store: the template
-	// hit rebuilds the prep from the cached list-page streams, and each
-	// detail page is re-read from cache.
+	// The second task re-reads every page, list and detail alike, from
+	// the store.
 	if second.TokenCacheMisses != 0 {
 		t.Errorf("second task: TokenCacheMisses = %d, want 0", second.TokenCacheMisses)
 	}
@@ -356,24 +330,6 @@ func TestEngineTokenCache(t *testing.T) {
 	}
 	if cs.TemplateHits != 1 || cs.TemplateMisses != 1 {
 		t.Errorf("CacheStats template = %d/%d hits/misses, want 1/1", cs.TemplateHits, cs.TemplateMisses)
-	}
-
-	off, err := engine.New(engine.Config{Options: core.DefaultOptions(core.CSP), Concurrency: 1, DisableCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range runTasks(context.Background(), off, []engine.Task{{Input: in}, {Input: in}}) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if r.Stats.TokenCacheHits != 0 || r.Stats.TokenCacheMisses != 0 {
-			t.Errorf("DisableCache task counted token lookups: %d/%d", r.Stats.TokenCacheHits, r.Stats.TokenCacheMisses)
-		}
-	}
-	if cs := off.CacheStats(); cs.TokenHits != 0 || cs.TokenMisses != 0 ||
-		cs.TemplateHits != 0 || cs.TemplateMisses != 0 ||
-		cs.ResultHits != 0 || cs.ResultMisses != 0 || cs.Tiers != nil {
-		t.Errorf("DisableCache CacheStats = %+v, want zero", cs)
 	}
 }
 

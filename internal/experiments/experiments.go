@@ -81,8 +81,9 @@ type corpusRun struct {
 }
 
 // runCorpus runs the 48 Table 4 tasks (24 list pages, each under both
-// methods) through one batch engine: the two runs of a page share one
-// cached site preparation, and the pool keeps every core busy. Each
+// methods) through one batch engine: the two runs of a page share its
+// cached token streams and site template, and the pool keeps every
+// core busy. Each
 // run is pure for a fixed seed, so the results are deterministic
 // regardless of scheduling.
 func runCorpus(ctx context.Context, seed int64) (*corpusRun, error) {

@@ -198,14 +198,19 @@ func (r *Record) Texts() []string {
 	return out
 }
 
-// TokenCache resolves a page's token stream through a caller-owned
-// artifact cache, so repeated tokenization of byte-identical pages
-// (shared detail pages, re-submitted sites) is computed once.
-// Implementations must be safe for concurrent use and must return
-// streams that callers treat as immutable. A nil TokenCache in a stage
-// input means "tokenize directly".
-type TokenCache interface {
+// Cache resolves the front end's two reusable artifacts through a
+// caller-owned store: each page's token stream, keyed by the page's
+// content, and the template of one task's sample list pages. The
+// Tokenize and InduceTemplate stages consult it, so the lookups, and
+// the work done on a miss, count in those stages' timings. One Cache
+// serves one pipeline run (the engine builds one per task, and the
+// store behind it is shared). Callers treat the returned artifacts as
+// immutable. A nil Cache in a stage input means "compute directly".
+type Cache interface {
 	// Tokens returns the token stream of the page, computing and
 	// retaining it on first sight.
 	Tokens(p Page) []token.Token
+	// Template returns the template of the run's sample list pages,
+	// calling induce to build it on a miss.
+	Template(induce func() *pagetemplate.Template) *pagetemplate.Template
 }

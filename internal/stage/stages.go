@@ -20,13 +20,9 @@ type TokenizeIn struct {
 	// ListPages are the site's sample list pages; DetailPages are the
 	// pages linked from the target list page, in record order.
 	ListPages, DetailPages []Page
-	// PreparedLists, when non-nil, supplies already-tokenized list
-	// pages (from a cached site preparation) and skips list
-	// tokenization. Must be parallel to ListPages.
-	PreparedLists [][]token.Token
-	// Cache, when non-nil, resolves tokenization through the caller's
-	// artifact cache (content-hash keyed, shared across tasks).
-	Cache TokenCache
+	// Cache, when non-nil, resolves every page's tokens through the
+	// caller's artifact cache (content-hash keyed, shared across tasks).
+	Cache Cache
 }
 
 // TokenizeOut is the Tokenize stage's result.
@@ -35,7 +31,7 @@ type TokenizeOut struct {
 }
 
 // Tokenize lexes every input page into the paper's eight syntactic
-// token types (§3.1), reusing prepared or cached streams when offered.
+// token types (§3.1), reusing cached streams when offered.
 func Tokenize(ctx context.Context, in TokenizeIn) (TokenizeOut, error) {
 	out := TokenizeOut{
 		Lists:   make([]TokenizedPage, len(in.ListPages)),
@@ -48,10 +44,6 @@ func Tokenize(ctx context.Context, in TokenizeIn) (TokenizeOut, error) {
 		return token.Tokenize(p.HTML)
 	}
 	for i, p := range in.ListPages {
-		if in.PreparedLists != nil {
-			out.Lists[i] = TokenizedPage{Name: p.Name, Tokens: in.PreparedLists[i]}
-			continue
-		}
 		//tableseglint:ignore ctxflow the token cache joins duplicate tokenization via Once; the wait is bounded by one page's tokenize
 		out.Lists[i] = TokenizedPage{Name: p.Name, Tokens: lex(p)}
 	}
@@ -59,13 +51,12 @@ func Tokenize(ctx context.Context, in TokenizeIn) (TokenizeOut, error) {
 		//tableseglint:ignore ctxflow the token cache joins duplicate tokenization via Once; the wait is bounded by one page's tokenize
 		out.Details[i] = TokenizedPage{Name: p.Name, Tokens: lex(p)}
 	}
-	// PreparedLists (and cache-returned token slices) are shared by
-	// contract: token slices are write-once after tokenization, and
-	// copying every page's tokens would defeat the prepared-input seam.
-	// Token texts are immutable strings that share memory on purpose:
-	// a freshly tokenized page's texts are substrings of its HTML, and
-	// a decoded page's texts are substrings of one string per page.
-	//tableseglint:ignore aliasflow prepared token slices are immutable by contract and shared deliberately; token texts are immutable substrings of the page or of its decoded text block
+	// Cache-returned token slices are shared by contract: token slices
+	// are write-once after tokenization, and copying every page's
+	// tokens would defeat the cache. Token texts are immutable strings
+	// that share memory on purpose: a freshly tokenized page's texts
+	// are substrings of its HTML, and a decoded page's texts are
+	// substrings of one string per page.
 	return out, nil
 }
 
@@ -73,27 +64,31 @@ func Tokenize(ctx context.Context, in TokenizeIn) (TokenizeOut, error) {
 type TemplateIn struct {
 	// Lists are the tokenized sample list pages.
 	Lists []TokenizedPage
-	// Prepared, when non-nil, supplies a previously induced template
-	// for these pages and skips induction.
-	Prepared *pagetemplate.Template
+	// Cache, when non-nil, serves the template of these pages from the
+	// caller's artifact cache and induces it only on a miss.
+	Cache Cache
 }
 
 // InduceTemplate induces the page template shared by the sample list
 // pages (§3.1). With fewer than two samples the template is nil —
 // cross-page induction is undefined — and downstream stages fall back.
 func InduceTemplate(ctx context.Context, in TemplateIn) (Template, error) {
-	if in.Prepared != nil {
-		// The prepared template is handed through untouched: induction
-		// output is immutable once built, so the alias is the contract.
-		// Its skeleton texts are immutable strings: substrings of the
-		// list pages, or strings of their own in a decoded template.
-		//tableseglint:ignore aliasflow prepared templates are immutable after induction and shared deliberately; their skeleton texts are immutable strings
-		return Template{Tpl: in.Prepared}, nil
+	if in.Cache != nil {
+		// The closure escapes through the interface call, so it is
+		// built on this path only: the direct path allocates no closure.
+		//tableseglint:ignore ctxflow the template cache joins duplicate induction via Once; the wait is bounded by one site's induction
+		return Template{Tpl: in.Cache.Template(func() *pagetemplate.Template { return induce(in.Lists) })}, nil
 	}
-	if len(in.Lists) < 2 {
-		return Template{}, nil
+	return Template{Tpl: induce(in.Lists)}, nil
+}
+
+// induce induces the template of the sample list pages, or returns nil
+// when there are fewer than two.
+func induce(lists []TokenizedPage) *pagetemplate.Template {
+	if len(lists) < 2 {
+		return nil
 	}
-	return Template{Tpl: pagetemplate.Induce(TokensOf(in.Lists))}, nil
+	return pagetemplate.Induce(TokensOf(lists))
 }
 
 // SlotIn feeds the SelectSlot stage.

@@ -60,7 +60,8 @@ type EngineCounters struct {
 	ResultHits   int64 `json:"resultHits"`
 	ResultMisses int64 `json:"resultMisses"`
 	// Tiers reports the artifact store's per-tier counters, fast tier
-	// first (absent when caching is disabled).
+	// first. Every engine runs through a store, so the built-in one
+	// always reports at least its memory tier.
 	Tiers []CacheTier `json:"tiers,omitempty"`
 }
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 
+	apiv1 "tableseg/api/v1"
 	"tableseg/internal/core"
 	"tableseg/internal/crawl"
 )
@@ -59,16 +60,9 @@ func main() {
 		}
 	}
 
-	var m core.Method
-	switch *method {
-	case "prob", "probabilistic":
-		m = core.Probabilistic
-	case "csp":
-		m = core.CSP
-	case "combined":
-		m = core.Combined
-	default:
-		fmt.Fprintf(os.Stderr, "harvest: unknown method %q\n", *method)
+	m, err := apiv1.ParseMethod(*method)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "harvest:", err)
 		os.Exit(2)
 	}
 
@@ -107,7 +101,6 @@ func main() {
 	}
 
 	var res *crawl.Result
-	var err error
 	if entryURL != "" {
 		res, err = h.HarvestFrom(ctx, entryURL)
 	} else {

@@ -110,16 +110,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		in.DetailPages = append(in.DetailPages, page)
 	}
 
-	var m tableseg.Method
-	switch *method {
-	case "prob", "probabilistic":
-		m = tableseg.Probabilistic
-	case "csp":
-		m = tableseg.CSP
-	case "combined":
-		m = tableseg.Combined
-	default:
-		fmt.Fprintf(stderr, "tableseg: unknown method %q (want prob, csp or combined)\n", *method)
+	m, err := apiv1.ParseMethod(*method)
+	if err != nil {
+		fmt.Fprintln(stderr, "tableseg:", err)
 		return 2
 	}
 
@@ -159,12 +152,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runBatch(ctx, eng, *batch, out, *stats, stdout, stderr)
 	}
 
-	results, err := eng.Submit(ctx, tableseg.Task{Input: in})
-	if err != nil {
-		fmt.Fprintln(stderr, "tableseg:", err)
-		return 1
-	}
-	res := <-results
+	res := eng.Run(ctx, tableseg.Task{Input: in})
 	if *stats {
 		printStats(stderr, res.Stats, eng.CacheStats())
 	}

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"tableseg"
+	apiv1 "tableseg/api/v1"
 	"tableseg/internal/server"
 )
 
@@ -42,10 +43,9 @@ func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tablesegd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8844", "listen address")
-	workers := fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "concurrent segmentations admitted (0 = GOMAXPROCS)")
 	method := fs.String("method", "prob", "default method for requests that name none: prob, csp or combined")
-	maxInFlight := fs.Int("max-inflight", 0, "concurrent segmentations admitted (0 = worker count)")
-	maxQueue := fs.Int("max-queue", 0, "requests waiting for admission before 429 (0 = 4x max-inflight)")
+	maxQueue := fs.Int("max-queue", 0, "requests waiting for admission before 429 (0 = 4x workers)")
 	rate := fs.Float64("rate", 0, "per-client requests/sec (0 = unlimited)")
 	burst := fs.Int("burst", 0, "per-client burst size (0 = one second of -rate)")
 	defaultTimeout := fs.Duration("default-timeout", 0, "segmentation deadline for requests that carry none (0 = none)")
@@ -65,16 +65,9 @@ func run(args []string, stderr io.Writer) int {
 		return 2
 	}
 
-	var m tableseg.Method
-	switch *method {
-	case "prob", "probabilistic":
-		m = tableseg.Probabilistic
-	case "csp":
-		m = tableseg.CSP
-	case "combined":
-		m = tableseg.Combined
-	default:
-		fmt.Fprintf(stderr, "tablesegd: unknown method %q (want prob, csp or combined)\n", *method)
+	m, err := apiv1.ParseMethod(*method)
+	if err != nil {
+		fmt.Fprintln(stderr, "tablesegd:", err)
 		return 2
 	}
 	srv, err := server.New(server.Config{
@@ -86,7 +79,6 @@ func run(args []string, stderr io.Writer) int {
 			CacheDiskBytes:   *cacheDisk,
 			Resume:           *resume,
 		},
-		MaxInFlight:    *maxInFlight,
 		MaxQueue:       *maxQueue,
 		RatePerSec:     *rate,
 		Burst:          *burst,

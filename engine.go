@@ -21,13 +21,14 @@ import (
 //	    use(res.Index, res.Seg, res.Stats)
 //	}
 //
-// Two submission surfaces share the caches: Stream for a batch — an
+// Two entry points share the caches: Stream for a batch — an
 // order-independent, backpressured pipe of tasks whose results carry
-// their submission Index — and Submit/Close for long-running services
-// that admit independent one-off tasks (tablesegd is built on it).
-// Each Stream call runs its own Concurrency workers; only Submit calls
-// share one pool of Concurrency slots. Both produce results
-// byte-identical to serial Segment calls.
+// their submission Index, run by Concurrency workers of its own per
+// call — and Run, which segments one task on the caller's goroutine
+// (the tableseg CLI's single-site path and tablesegd are built on it).
+// Run admits every call; a service bounds concurrent calls itself, as
+// tablesegd's admission gate does. Both produce results byte-identical
+// to serial Segment calls.
 type Engine = engine.Engine
 
 // EngineConfig configures NewEngine; see engine.Config.

@@ -1,13 +1,6 @@
 package tableseg
 
-import (
-	"tableseg/internal/core"
-	"tableseg/internal/engine"
-)
-
-// ErrEngineClosed: Engine.Submit was called after Engine.Close; the
-// engine no longer admits work.
-var ErrEngineClosed = engine.ErrClosed
+import "tableseg/internal/core"
 
 // Sentinel errors re-exported from the pipeline so callers can classify
 // failures with errors.Is without importing internal packages. Segment

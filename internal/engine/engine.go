@@ -1,6 +1,7 @@
 // Package engine implements a reusable, concurrent batch-segmentation
 // engine over the core pipeline: tasks stream through a bounded worker
-// pool, per-site artifacts (tokenized pages, induced page templates,
+// pool (Stream) or run one at a time on the caller's goroutine (Run),
+// per-site artifacts (tokenized pages, induced page templates,
 // and completed task results) live in a content-addressed artifact
 // store, and every task returns structured per-stage instrumentation
 // alongside its segmentation or typed error.
@@ -29,7 +30,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"hash"
 	"runtime"
@@ -45,19 +45,15 @@ import (
 	"tableseg/internal/token"
 )
 
-// ErrClosed is returned by Submit once Close has been called: the
-// engine no longer admits work, though results of tasks admitted
-// earlier still arrive on their channels.
-var ErrClosed = errors.New("engine: closed")
-
 // Config configures an Engine.
 type Config struct {
 	// Options is the pipeline configuration applied to every task that
 	// does not carry its own override. The zero value selects the CSP
 	// method with defaults; most callers want core.DefaultOptions.
 	Options core.Options
-	// Concurrency bounds the worker pool. Zero selects
-	// runtime.GOMAXPROCS(0); negative values are rejected by Validate.
+	// Concurrency is the number of workers each Stream call runs. Zero
+	// selects runtime.GOMAXPROCS(0); negative values are rejected by
+	// Validate.
 	Concurrency int
 	// Observer, when non-nil, receives a callback at every pipeline
 	// stage boundary of every task, in addition to the per-task Stats
@@ -124,7 +120,7 @@ type Task struct {
 // total wall time and cache outcomes.
 type TaskStats struct {
 	core.Stats
-	// Wall is the task's end-to-end wall time inside the worker.
+	// Wall is the task's end-to-end wall time inside Run.
 	Wall time.Duration
 	// TemplateCacheHit is true when the task reused the template of
 	// its list pages, induced earlier or by a concurrent task, instead
@@ -143,8 +139,9 @@ type TaskStats struct {
 
 // Result is the outcome of one task.
 type Result struct {
-	// Index is the task's submission order (0-based), so streamed
-	// results can be correlated even when they complete out of order.
+	// Index is the task's submission order (0-based) within a Stream, so
+	// streamed results can be correlated even when they complete out of
+	// order; Run leaves it 0.
 	Index int
 	// ID echoes Task.ID.
 	ID string
@@ -179,14 +176,6 @@ type Engine struct {
 	// work).
 	flightMu sync.Mutex
 	flights  map[artifact.Key]*flight
-
-	// Submission lifecycle: Submit admits work while closed is false,
-	// each admitted submission holds slots (capacity = workers) while
-	// it runs, and Close flips closed then joins inFlight.
-	lifeMu   sync.Mutex
-	closed   bool
-	inFlight sync.WaitGroup
-	slots    chan struct{}
 
 	cacheStats struct {
 		tokenHits, tokenMisses       atomic.Int64
@@ -367,7 +356,6 @@ func New(cfg Config) (*Engine, error) {
 		store:     cfg.Store,
 		sitesSeen: make(map[artifact.Key]struct{}),
 		flights:   make(map[artifact.Key]*flight),
-		slots:     make(chan struct{}, workers),
 	}
 	if e.store == nil {
 		mem := artifact.NewMemory(cfg.CacheMemoryBytes)
@@ -480,9 +468,14 @@ func InputKey(in core.Input) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// runTask executes one task end to end on the calling worker.
-func (e *Engine) runTask(ctx context.Context, t Task, idx int) Result {
-	res := Result{Index: idx, ID: t.ID}
+// Run executes one task end to end on the calling goroutine and
+// returns its Result (Index 0). A context that is already done yields
+// ctx.Err() without running or journaling anything; one that ends
+// mid-task aborts the solvers at their next restart/iteration boundary.
+// Run admits every call: a caller that must bound concurrent work, such
+// as a server, gates its calls itself.
+func (e *Engine) Run(ctx context.Context, t Task) Result {
+	res := Result{ID: t.ID}
 	if err := ctx.Err(); err != nil {
 		res.Err = err
 		return res
@@ -498,7 +491,7 @@ func (e *Engine) runTask(ctx context.Context, t Task, idx int) Result {
 	rkey := resultKey(sums.inputHash(t.Input.Target), opts)
 	if e.resume {
 		if cached, ok := e.lookupResult(rkey); ok {
-			cached.Index, cached.ID = idx, t.ID
+			cached.ID = t.ID
 			cached.Stats.ResultCacheHit = true
 			cached.Stats.Wall = clock.Since(start)
 			e.cacheStats.resultHits.Add(1)
@@ -534,16 +527,17 @@ func (e *Engine) lookupResult(k artifact.Key) (Result, bool) {
 }
 
 // Stream consumes tasks until the channel closes, fanning them out
-// over Concurrency workers of its own (Submit's slots are not used),
-// and emits one Result per task on the returned channel (closed once
-// every task has been reported). Results arrive in completion order —
-// the stream is order-independent; use Result.Index or ID to correlate
-// — and the output buffer is bounded by the worker count, so a slow
-// consumer backpressures the workers instead of accumulating results. On context cancellation in-flight
-// solves abort at their next restart/iteration boundary and every
-// remaining task is reported with Err = ctx.Err(), so the result
-// stream always accounts for every submitted task. The caller must
-// drain the returned channel.
+// over Concurrency workers of its own that each call Run, and emits one
+// Result per task on the returned channel (closed once every task has
+// been reported), with Index set to the task's submission order.
+// Results arrive in completion order — the stream is
+// order-independent; use Result.Index or ID to correlate — and the
+// output buffer is bounded by the worker count, so a slow consumer
+// backpressures the workers instead of accumulating results. On
+// context cancellation in-flight solves abort at their next
+// restart/iteration boundary and every remaining task is reported with
+// Err = ctx.Err(), so the result stream always accounts for every
+// submitted task. The caller must drain the returned channel.
 func (e *Engine) Stream(ctx context.Context, tasks <-chan Task) <-chan Result {
 	type indexed struct {
 		t   Task
@@ -574,7 +568,9 @@ func (e *Engine) Stream(ctx context.Context, tasks <-chan Task) <-chan Result {
 		go func() {
 			defer wg.Done()
 			for it := range feed {
-				out <- e.runTask(ctx, it.t, it.idx)
+				res := e.Run(ctx, it.t)
+				res.Index = it.idx
+				out <- res
 			}
 		}()
 	}
@@ -583,48 +579,4 @@ func (e *Engine) Stream(ctx context.Context, tasks <-chan Task) <-chan Result {
 		close(out)
 	}()
 	return out
-}
-
-// Submit admits one task into the engine's long-lived worker-slot pool
-// and returns a 1-buffered channel that receives the task's Result and
-// is then closed, so a caller may receive or range. Unlike Stream —
-// which owns a whole batch — Submit is the daemon-facing surface: many
-// independent callers share the pool, each bounded by the same
-// concurrency limit, and per-call contexts cancel waiting or running
-// work individually (a task cancelled while waiting for a slot reports
-// Err = ctx.Err()). After Close, Submit returns ErrClosed.
-func (e *Engine) Submit(ctx context.Context, t Task) (<-chan Result, error) {
-	e.lifeMu.Lock()
-	if e.closed {
-		e.lifeMu.Unlock()
-		return nil, ErrClosed
-	}
-	e.inFlight.Add(1)
-	e.lifeMu.Unlock()
-	out := make(chan Result, 1)
-	go func() {
-		defer e.inFlight.Done()
-		defer close(out)
-		select {
-		case e.slots <- struct{}{}:
-		case <-ctx.Done():
-			out <- Result{ID: t.ID, Err: ctx.Err()}
-			return
-		}
-		out <- e.runTask(ctx, t, 0)
-		<-e.slots
-	}()
-	return out, nil
-}
-
-// Close stops admitting Submit work and waits for every admitted
-// submission to deliver its result. It is idempotent and does not
-// affect Stream batches, whose lifetimes are bounded by their own task
-// channels and contexts. The caches stay valid after Close.
-func (e *Engine) Close() error {
-	e.lifeMu.Lock()
-	e.closed = true
-	e.lifeMu.Unlock()
-	e.inFlight.Wait()
-	return nil
 }

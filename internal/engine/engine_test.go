@@ -397,113 +397,51 @@ func settledGoroutines(base int) int {
 	return n
 }
 
-// TestEngineSubmitMatchesSerial pins the Submit surface to the serial
-// contract: results delivered through the one-off submission channel
-// are deeply equal to serial core.Segment calls, and each channel is
-// closed after its single result.
-func TestEngineSubmitMatchesSerial(t *testing.T) {
+// TestEngineRunMatchesSerial pins Run to the serial contract: a task run
+// on the caller's goroutine is deeply equal to a serial core.Segment
+// call, and a context that is already done returns ctx.Err() with the
+// task's ID and no segmentation.
+func TestEngineRunMatchesSerial(t *testing.T) {
 	inputs := corpusInputs(t)[:4]
 	opts := core.DefaultOptions(core.Probabilistic)
 	eng, err := engine.New(engine.Config{Options: opts, Concurrency: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	for i, in := range inputs {
 		serial, err := core.SegmentContext(context.Background(), in, opts)
 		if err != nil {
 			t.Fatalf("serial input %d: %v", i, err)
 		}
-		ch, err := eng.Submit(context.Background(), engine.Task{ID: fmt.Sprint(i), Input: in})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		r, ok := <-ch
-		if !ok {
-			t.Fatalf("submit %d: channel closed without a result", i)
-		}
+		r := eng.Run(context.Background(), engine.Task{ID: fmt.Sprint(i), Input: in})
 		if r.Err != nil {
-			t.Fatalf("submit %d: %v", i, r.Err)
+			t.Fatalf("run %d: %v", i, r.Err)
 		}
-		if r.ID != fmt.Sprint(i) {
-			t.Errorf("submit %d: ID = %q", i, r.ID)
+		if r.ID != fmt.Sprint(i) || r.Index != 0 {
+			t.Errorf("run %d: ID = %q, Index = %d", i, r.ID, r.Index)
 		}
 		if !reflect.DeepEqual(r.Seg, serial) {
-			t.Errorf("submit %d: segmentation differs from serial", i)
-		}
-		if _, ok := <-ch; ok {
-			t.Errorf("submit %d: channel delivered a second value", i)
+			t.Errorf("run %d: segmentation differs from serial", i)
 		}
 	}
-}
 
-// TestEngineSubmitAfterClose verifies the lifecycle contract: Close
-// waits for admitted submissions, further Submits fail with ErrClosed,
-// and Close is idempotent.
-func TestEngineSubmitAfterClose(t *testing.T) {
-	eng, err := engine.New(engine.Config{Options: core.DefaultOptions(core.CSP), Concurrency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := eng.Submit(context.Background(), engine.Task{Input: siteInput(t, "allegheny", 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Close returned, so the admitted submission's result must already
-	// be buffered.
-	select {
-	case r := <-ch:
-		if r.Err != nil {
-			t.Fatalf("admitted submission failed: %v", r.Err)
-		}
-	default:
-		t.Fatal("Close returned before the admitted submission delivered")
-	}
-	if _, err := eng.Submit(context.Background(), engine.Task{Input: siteInput(t, "allegheny", 0)}); !errors.Is(err, engine.ErrClosed) {
-		t.Fatalf("Submit after Close: err = %v, want ErrClosed", err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-}
-
-// TestEngineSubmitCancelWhileQueued covers the slot-wait path: with one
-// worker slot held by a long submission, a second submission whose
-// context dies while queued reports ctx.Err() and frees its goroutine.
-func TestEngineSubmitCancelWhileQueued(t *testing.T) {
-	eng, err := engine.New(engine.Config{Options: core.DefaultOptions(core.Probabilistic), Concurrency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	first, err := eng.Submit(context.Background(), engine.Task{Input: siteInput(t, "allegheny", 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	second, err := eng.Submit(ctx, engine.Task{ID: "queued", Input: siteInput(t, "butler", 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := <-second
+	before := eng.CacheStats().Tiers[0]
+	r := eng.Run(ctx, engine.Task{ID: "done", Input: inputs[0]})
 	if !errors.Is(r.Err, context.Canceled) {
-		t.Fatalf("queued submission: err = %v, want context.Canceled", r.Err)
+		t.Fatalf("done context: err = %v, want context.Canceled", r.Err)
 	}
-	if r.ID != "queued" {
-		t.Errorf("queued submission: ID = %q", r.ID)
+	if r.ID != "done" || r.Seg != nil {
+		t.Errorf("done context: ID = %q, Seg = %v, want the task's ID and no segmentation", r.ID, r.Seg)
 	}
-	if r := <-first; r.Err != nil {
-		t.Fatalf("running submission: %v", r.Err)
+	if after := eng.CacheStats().Tiers[0]; after != before {
+		t.Errorf("done context touched the store: %+v, then %+v", before, after)
 	}
 }
 
-// TestEngineStreamNoGoroutineLeak extends the goroleak contract to the
-// redesigned surface: a drained Stream and a Closed engine with Submit
-// traffic both wind every goroutine down.
+// TestEngineStreamNoGoroutineLeak extends the goroleak contract to
+// Stream: a drained Stream winds every goroutine down.
 func TestEngineStreamNoGoroutineLeak(t *testing.T) {
 	inputs := corpusInputs(t)[:6]
 	base := runtime.NumGoroutine()
@@ -529,26 +467,6 @@ func TestEngineStreamNoGoroutineLeak(t *testing.T) {
 	}
 	if n := settledGoroutines(base); n > base {
 		t.Errorf("drained Stream leaked goroutines: %d before, %d after settling", base, n)
-	}
-
-	var chans []<-chan engine.Result
-	for _, in := range inputs {
-		ch, err := eng.Submit(context.Background(), engine.Task{Input: in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans = append(chans, ch)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, ch := range chans {
-		if r := <-ch; r.Err != nil {
-			t.Fatalf("submission %d: %v", i, r.Err)
-		}
-	}
-	if n := settledGoroutines(base); n > base {
-		t.Errorf("closed engine leaked goroutines: %d before, %d after settling", base, n)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package server implements tablesegd's HTTP daemon over the
 // concurrent segmentation engine: the versioned api/v1 wire surface,
 // request coalescing keyed on the engine's input content hash,
-// admission control (a bounded in-flight pool plus a bounded wait
-// queue, rejections as 429 + Retry-After), per-client token-bucket
-// rate limiting, per-request deadline propagation into the pipeline,
-// /healthz and /varz operational endpoints, and graceful drain.
+// admission control (one semaphore as wide as the engine's worker count
+// plus a bounded wait queue, rejections as 429 + Retry-After),
+// per-client token-bucket rate limiting, per-request deadline
+// propagation into the pipeline, /healthz and /varz operational
+// endpoints, and graceful drain.
 //
 // The package is a deliberate showcase for the repository's own
 // concurrency analyzers: every goroutine has a provable exit, no lock
@@ -16,7 +17,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -31,22 +31,24 @@ import (
 	"tableseg/internal/stage"
 )
 
+// retryAfterSeconds is the backoff hint attached to 429 rejections.
+const retryAfterSeconds = 1
+
+// maxBodyBytes bounds a request body.
+const maxBodyBytes = 64 << 20
+
 // Config configures New. The zero value of every field selects a
 // sensible default; only Engine.Options is commonly set.
 type Config struct {
-	// Engine configures the shared segmentation engine (worker pool,
-	// caches, default options). An Observer set here is preserved and
-	// chained after the server's own metrics observer.
+	// Engine configures the shared segmentation engine (caches, default
+	// options). Its Concurrency also bounds the segmentations the server
+	// admits at once. An Observer set here is preserved and chained
+	// after the server's own metrics observer.
 	Engine engine.Config
-	// MaxInFlight bounds requests holding an engine slot concurrently.
-	// Zero selects the engine's worker count.
-	MaxInFlight int
-	// MaxQueue bounds requests waiting for a slot; arrivals beyond it
-	// are rejected with 429 + Retry-After. Zero selects 4*MaxInFlight.
+	// MaxQueue bounds requests waiting for admission; arrivals beyond
+	// it are rejected with 429 + Retry-After. Zero selects four times
+	// the engine's Concurrency.
 	MaxQueue int
-	// RetryAfter is the backoff hint attached to 429 rejections.
-	// Zero selects one second.
-	RetryAfter time.Duration
 	// RatePerSec and Burst configure per-client token buckets (clients
 	// are keyed by X-Client-Id, falling back to the remote address).
 	// RatePerSec zero disables rate limiting; Burst zero selects
@@ -58,8 +60,6 @@ type Config struct {
 	// clamps request-supplied deadlines (zero = no clamp).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxBodyBytes bounds the request body. Zero selects 64 MiB.
-	MaxBodyBytes int64
 }
 
 // Server is the daemon: an http.Handler plus a drain lifecycle. Create
@@ -69,8 +69,9 @@ type Server struct {
 	eng   *engine.Engine
 	start time.Time
 
-	// Admission: sem holds one token per in-flight segmentation,
-	// queued counts admitted requests waiting for a token.
+	// Admission, the only gate in front of the engine: sem holds one
+	// token per running segmentation and is as wide as the engine's
+	// worker count; queued counts admitted requests waiting for a token.
 	sem    chan struct{}
 	queued atomic.Int64
 
@@ -102,23 +103,14 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = eng.Concurrency()
-	}
 	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 4 * cfg.MaxInFlight
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 64 << 20
+		cfg.MaxQueue = 4 * eng.Concurrency()
 	}
 	return &Server{
 		cfg:     cfg,
 		eng:     eng,
 		start:   clock.Now(),
-		sem:     make(chan struct{}, cfg.MaxInFlight),
+		sem:     make(chan struct{}, eng.Concurrency()),
 		drainCh: make(chan struct{}),
 		flights: newFlightGroup(),
 		limiter: newLimiter(cfg.RatePerSec, cfg.Burst),
@@ -142,10 +134,10 @@ func (s *Server) Handler() http.Handler {
 
 // Drain begins graceful shutdown: new requests are rejected with 503,
 // queued-but-unadmitted requests are released with 503, in-flight
-// segmentations run to completion, and the engine is closed once the
-// last handler returns. The context bounds the wait; on expiry the
+// segmentations run to completion, and Drain returns once the last
+// handler has returned. The context bounds the wait; on expiry the
 // server keeps draining but Drain returns the context error. Drain is
-// idempotent.
+// idempotent, and the engine stays usable afterwards.
 func (s *Server) Drain(ctx context.Context) error {
 	s.beginDrain()
 	done := make(chan struct{})
@@ -155,14 +147,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("server: drain interrupted: %w", ctx.Err())
 	}
-	// The handler wait above honors ctx; engine shutdown does not.
-	// By this point every handler has returned, so the engine's
-	// in-flight count is already zero and Close cannot park.
-	//tableseglint:ignore ctxflow all handlers have drained, so the engine close returns without waiting
-	return s.eng.Close()
 }
 
 // Draining reports whether graceful shutdown has begun.
@@ -218,13 +206,13 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &apiv1.Error{
 			Code:              apiv1.CodeRateLimited,
 			Message:           "client request rate exceeded",
-			RetryAfterSeconds: s.retryAfterSeconds(),
+			RetryAfterSeconds: retryAfterSeconds,
 		}, nil)
 		return
 	}
 
 	var req apiv1.SegmentRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(&req); err != nil {
 		s.writeError(w, &apiv1.Error{Code: apiv1.CodeBadRequest, Message: "decoding request: " + err.Error()}, nil)
 		return
@@ -244,55 +232,87 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := engine.InputKey(in) + "|" + req.OptionsKey()
-	f, leader := s.flights.join(key)
-	if leader {
-		s.flights.complete(key, f, s.compute(ctx, in, opts, req.WantStats))
-		s.metrics.coalesceMisses.Add(1)
-	} else {
-		s.metrics.coalesceHits.Add(1)
+	for {
+		f, leader := s.flights.join(key)
+		if leader {
+			s.flights.complete(key, f, s.compute(ctx, in, opts))
+			s.metrics.coalesceMisses.Add(1)
+		} else {
+			s.metrics.coalesceHits.Add(1)
+		}
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			// This waiter's own deadline died while sharing another
+			// request's computation; the flight itself keeps running for
+			// the remaining waiters.
+			s.writeError(w, apiv1.FromError(ctx.Err()), nil)
+			return
+		}
+		if !leader && f.out.interrupted() && ctx.Err() == nil {
+			// The leader's deadline or hang-up ended the shared
+			// computation, not this request's: join again, leading a
+			// fresh flight when none is in flight.
+			continue
+		}
+		s.respond(w, f.out, !leader, req.WantStats)
+		return
 	}
+}
 
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		// This waiter's own deadline died while sharing another
-		// request's computation; the flight itself keeps running for
-		// the remaining waiters.
-		s.writeError(w, apiv1.FromError(ctx.Err()), nil)
-		return
-	}
-	out := f.out
+// respond writes one request's view of a flight's outcome. Waiters
+// share the outcome, so each gets a shallow copy of the response that
+// carries its own Coalesced flag and, only when it asked, the task's
+// stats.
+func (s *Server) respond(w http.ResponseWriter, out outcome, coalesced, wantStats bool) {
 	if out.werr != nil {
-		s.writeError(w, out.werr, out.partial)
+		partial := out.partial
+		if partial != nil && wantStats {
+			p := *partial
+			p.Stats = apiv1.TaskStatsFromEngine(out.stats)
+			partial = &p
+		}
+		s.writeError(w, out.werr, partial)
 		return
 	}
-	resp := *out.resp // shallow per-waiter copy: Coalesced differs per waiter
-	resp.Coalesced = !leader
+	resp := *out.resp
+	resp.Coalesced = coalesced
+	if wantStats {
+		resp.Stats = apiv1.TaskStatsFromEngine(out.stats)
+	}
 	s.metrics.requests.ok.Add(1)
 	s.writeJSON(w, http.StatusOK, &resp)
 }
 
 // outcome is one flight's terminal state: a response or a wire error
-// (with optional partial diagnostics).
+// (with optional partial diagnostics), plus the task's stats, which
+// each waiter converts only if it asked for them.
 type outcome struct {
 	resp    *apiv1.SegmentResponse
 	werr    *apiv1.Error
 	partial *apiv1.SegmentResponse
+	stats   engine.TaskStats
 }
 
-// compute runs one admitted segmentation end to end: admission
-// (bounded queue, drain release), engine submission with the caller's
-// deadline, and wire conversion of the result.
-func (s *Server) compute(ctx context.Context, in core.Input, opts core.Options, wantStats bool) outcome {
-	if s.queued.Load() >= int64(s.cfg.MaxQueue) {
+// interrupted reports whether a context ending, rather than the input,
+// stopped the computation.
+func (o outcome) interrupted() bool {
+	return o.werr != nil && (o.werr.Code == apiv1.CodeCanceled || o.werr.Code == apiv1.CodeDeadlineExceeded)
+}
+
+// compute runs one segmentation end to end: admission (bounded queue,
+// drain release), the engine call under the caller's deadline while
+// holding a semaphore token, and wire conversion of the result.
+func (s *Server) compute(ctx context.Context, in core.Input, opts core.Options) outcome {
+	if s.queued.Add(1) > int64(s.cfg.MaxQueue) {
+		s.queued.Add(-1)
 		s.metrics.requests.queueFull.Add(1)
 		return outcome{werr: &apiv1.Error{
 			Code:              apiv1.CodeQueueFull,
 			Message:           fmt.Sprintf("admission queue full (%d waiting)", s.cfg.MaxQueue),
-			RetryAfterSeconds: s.retryAfterSeconds(),
+			RetryAfterSeconds: retryAfterSeconds,
 		}}
 	}
-	s.queued.Add(1)
 	select {
 	case s.sem <- struct{}{}:
 		s.queued.Add(-1)
@@ -304,39 +324,21 @@ func (s *Server) compute(ctx context.Context, in core.Input, opts core.Options, 
 		s.metrics.requests.drainRejected.Add(1)
 		return outcome{werr: &apiv1.Error{Code: apiv1.CodeDraining, Message: "server is draining"}}
 	}
-	out := s.runTask(ctx, in, opts, wantStats)
+	res := s.eng.Run(ctx, engine.Task{Input: in, Options: &opts})
 	<-s.sem
-	return out
-}
-
-// runTask submits one task to the engine and converts its result.
-func (s *Server) runTask(ctx context.Context, in core.Input, opts core.Options, wantStats bool) outcome {
-	ch, err := s.eng.Submit(ctx, engine.Task{Input: in, Options: &opts})
-	if err != nil {
-		// Submit only fails once the engine is closed, which drain
-		// orders after the last handler; report it as draining anyway
-		// rather than crash on a race with an embedder's Close.
-		if errors.Is(err, engine.ErrClosed) {
-			return outcome{werr: &apiv1.Error{Code: apiv1.CodeDraining, Message: "engine closed"}}
-		}
-		return outcome{werr: apiv1.FromError(err)}
-	}
-	res := <-ch
 	s.metrics.tasksCompleted.Add(1)
-	var stats *apiv1.TaskStats
-	if wantStats {
-		stats = apiv1.TaskStatsFromEngine(res.Stats)
-	}
+	out := outcome{stats: res.Stats}
 	if res.Err != nil {
-		o := outcome{werr: apiv1.FromError(res.Err)}
+		out.werr = apiv1.FromError(res.Err)
 		if res.Seg != nil {
 			// Typed diagnostic failures attach a partial segmentation;
 			// surface its counters to the client.
-			o.partial = apiv1.ResponseFromSegmentation(res.Seg, stats)
+			out.partial = apiv1.ResponseFromSegmentation(res.Seg, nil)
 		}
-		return o
+		return out
 	}
-	return outcome{resp: apiv1.ResponseFromSegmentation(res.Seg, stats)}
+	out.resp = apiv1.ResponseFromSegmentation(res.Seg, nil)
+	return out
 }
 
 // effectiveTimeout resolves a request's wire deadline against the
@@ -350,14 +352,6 @@ func (s *Server) effectiveTimeout(millis int64) time.Duration {
 		d = s.cfg.MaxTimeout
 	}
 	return d
-}
-
-func (s *Server) retryAfterSeconds() int {
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 // handleHealthz serves liveness: 200 "ok" while serving, 503 while

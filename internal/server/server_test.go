@@ -173,7 +173,7 @@ func TestServeMatchesLibrary(t *testing.T) {
 // one hit and one miss.
 func TestCoalesceConcurrentIdentical(t *testing.T) {
 	gate := newGate()
-	s, ts := newTestServer(t, Config{Engine: engineConfig(gate)})
+	s, ts := newTestServer(t, Config{Engine: engineConfig(gate, 0)})
 	req := wireRequest(siteInput(t, "allegheny", 0), "")
 
 	type reply struct {
@@ -220,10 +220,108 @@ func TestCoalesceConcurrentIdentical(t *testing.T) {
 	}
 }
 
-func engineConfig(obs stage.Observer) engine.Config {
+// TestCoalescedWaiterOutlivesLeaderDeadline: a follower shares its
+// leader's computation but not its deadline. When the leader's deadline
+// ends the shared computation, the follower, whose own context is alive,
+// computes afresh and gets 200.
+func TestCoalescedWaiterOutlivesLeaderDeadline(t *testing.T) {
+	gate := newGate()
+	s, ts := newTestServer(t, Config{Engine: engineConfig(gate, 0)})
+	leaderReq := wireRequest(siteInput(t, "allegheny", 0), "")
+	leaderReq.TimeoutMillis = 50
+	followerReq := wireRequest(siteInput(t, "allegheny", 0), "")
+
+	leaderStatus := make(chan int, 1)
+	go func() {
+		resp, _, _ := postSegment(t, ts.URL, leaderReq, "")
+		leaderStatus <- resp.StatusCode
+	}()
+	<-gate.entered
+	type reply struct {
+		status int
+		ok     *apiv1.SegmentResponse
+		err    *apiv1.ErrorResponse
+	}
+	follower := make(chan reply, 1)
+	go func() {
+		resp, ok, werr := postSegment(t, ts.URL, followerReq, "")
+		follower <- reply{resp.StatusCode, ok, werr}
+	}()
+	waitUntil(t, "follower to join the flight", func() bool {
+		return s.metrics.coalesceHits.Load() == 1
+	})
+	time.Sleep(100 * time.Millisecond) // past the leader's 50 ms deadline
+	close(gate.release)
+
+	if st := <-leaderStatus; st != http.StatusGatewayTimeout {
+		t.Errorf("leader: status %d, want 504", st)
+	}
+	r := <-follower
+	if r.ok == nil {
+		t.Fatalf("follower: status %d %+v, want 200", r.status, r.err)
+	}
+	if r.ok.Coalesced {
+		t.Error("follower computed afresh but reported coalesced")
+	}
+	if n := s.metrics.tasksCompleted.Load(); n != 2 {
+		t.Errorf("engine ran %d tasks, want 2", n)
+	}
+}
+
+// TestCoalescedStatsFollowEachRequest: coalesced requests share one
+// computation, but each response carries stats exactly when its own
+// request asked for them, whichever of the two leads.
+func TestCoalescedStatsFollowEachRequest(t *testing.T) {
+	for _, leaderWants := range []bool{true, false} {
+		t.Run(fmt.Sprintf("leaderWantsStats=%v", leaderWants), func(t *testing.T) {
+			gate := newGate()
+			s, ts := newTestServer(t, Config{Engine: engineConfig(gate, 0)})
+			in := siteInput(t, "allegheny", 0)
+			leaderReq, followerReq := wireRequest(in, ""), wireRequest(in, "")
+			leaderReq.WantStats, followerReq.WantStats = leaderWants, !leaderWants
+
+			replies := make([]chan *apiv1.SegmentResponse, 2)
+			for i, req := range []*apiv1.SegmentRequest{leaderReq, followerReq} {
+				replies[i] = make(chan *apiv1.SegmentResponse, 1)
+				go func() {
+					_, ok, _ := postSegment(t, ts.URL, req, "")
+					replies[i] <- ok
+				}()
+				if i == 0 {
+					<-gate.entered
+				}
+			}
+			waitUntil(t, "follower to join the flight", func() bool {
+				return s.metrics.coalesceHits.Load() == 1
+			})
+			close(gate.release)
+
+			for i, wants := range []bool{leaderWants, !leaderWants} {
+				got := <-replies[i]
+				if got == nil {
+					t.Fatalf("request %d failed", i)
+				}
+				if got.Coalesced != (i == 1) {
+					t.Errorf("request %d: coalesced = %v", i, got.Coalesced)
+				}
+				if (got.Stats != nil) != wants {
+					t.Errorf("request %d asked for stats: %v, response carries them: %v", i, wants, got.Stats != nil)
+				}
+				if wants && (got.Stats == nil || len(got.Stats.Stages) == 0) {
+					t.Errorf("request %d: stats without per-stage timings", i)
+				}
+			}
+		})
+	}
+}
+
+// engineConfig configures a test server's engine; workers also sizes
+// the server's admission gate (0 selects GOMAXPROCS).
+func engineConfig(obs stage.Observer, workers int) engine.Config {
 	return engine.Config{
-		Options:  core.DefaultOptions(core.Probabilistic),
-		Observer: obs,
+		Options:     core.DefaultOptions(core.Probabilistic),
+		Concurrency: workers,
+		Observer:    obs,
 	}
 }
 
@@ -254,7 +352,7 @@ func TestRateLimit(t *testing.T) {
 // capacity, the next non-identical request is rejected 429 queue_full.
 func TestAdmissionQueueFull(t *testing.T) {
 	gate := newGate()
-	s, ts := newTestServer(t, Config{Engine: engineConfig(gate), MaxInFlight: 1, MaxQueue: 1})
+	s, ts := newTestServer(t, Config{Engine: engineConfig(gate, 1), MaxQueue: 1})
 	reqA := wireRequest(siteInput(t, "allegheny", 0), "")
 	reqB := wireRequest(siteInput(t, "allegheny", 1), "")
 	reqC := wireRequest(siteInput(t, "butler", 0), "")
@@ -287,7 +385,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 // waiting for an engine slot gets 504 deadline_exceeded.
 func TestDeadlineWhileQueued(t *testing.T) {
 	gate := newGate()
-	_, ts := newTestServer(t, Config{Engine: engineConfig(gate), MaxInFlight: 1})
+	_, ts := newTestServer(t, Config{Engine: engineConfig(gate, 1)})
 	go postSegment(t, ts.URL, wireRequest(siteInput(t, "allegheny", 0), ""), "")
 	<-gate.entered
 
@@ -308,7 +406,7 @@ func TestDeadlineWhileQueued(t *testing.T) {
 // new arrivals are rejected 503, and /healthz flips to 503.
 func TestGracefulDrain(t *testing.T) {
 	gate := newGate()
-	s, err := New(Config{Engine: engineConfig(gate), MaxInFlight: 1})
+	s, err := New(Config{Engine: engineConfig(gate, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +566,7 @@ func TestRequestErrors(t *testing.T) {
 func TestServerNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	func() {
-		s, err := New(Config{Engine: engineConfig(nil), MaxInFlight: 2})
+		s, err := New(Config{Engine: engineConfig(nil, 2)})
 		if err != nil {
 			t.Fatal(err)
 		}

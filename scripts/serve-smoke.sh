@@ -7,7 +7,8 @@
 #   3. segment the site through `tableseg -remote` and assert the JSON
 #      is byte-identical to the in-process `tableseg -json` run;
 #   4. fire two concurrent identical requests and check /varz serves
-#      the coalescing and request counters;
+#      the coalescing and request counters, with the admission gate
+#      and its wait queue drained (inFlight and queueDepth 0);
 #   5. SIGTERM the daemon and assert it drains cleanly (exit 0).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -80,6 +81,15 @@ curl -fsS "$BASE/varz" >"$tmp/varz.json"
 for field in '"requests"' '"coalesce"' '"hits"' '"misses"' '"stages"' '"tokenHits"'; do
     if ! grep -q "$field" "$tmp/varz.json"; then
         echo "serve-smoke: FAIL /varz missing $field" >&2
+        cat "$tmp/varz.json" >&2
+        exit 1
+    fi
+done
+# Both responses are written, so the admission gate and its wait queue
+# must have drained.
+for gauge in '"inFlight":0' '"queueDepth":0'; do
+    if ! grep -q "$gauge" "$tmp/varz.json"; then
+        echo "serve-smoke: FAIL /varz does not read $gauge after the requests" >&2
         cat "$tmp/varz.json" >&2
         exit 1
     fi

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"tableseg"
-	apiv1 "tableseg/api/v1"
 	"tableseg/internal/server"
 )
 
@@ -44,7 +43,6 @@ func run(args []string, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8844", "listen address")
 	workers := fs.Int("workers", 0, "concurrent segmentations admitted (0 = GOMAXPROCS)")
-	method := fs.String("method", "prob", "default method for requests that name none: prob, csp or combined")
 	maxQueue := fs.Int("max-queue", 0, "requests waiting for admission before 429 (0 = 4x workers)")
 	rate := fs.Float64("rate", 0, "per-client requests/sec (0 = unlimited)")
 	burst := fs.Int("burst", 0, "per-client burst size (0 = one second of -rate)")
@@ -65,14 +63,11 @@ func run(args []string, stderr io.Writer) int {
 		return 2
 	}
 
-	m, err := apiv1.ParseMethod(*method)
-	if err != nil {
-		fmt.Fprintln(stderr, "tablesegd:", err)
-		return 2
-	}
+	// Every request carries its own options (an empty method means
+	// probabilistic), so the engine's defaults decide no request.
 	srv, err := server.New(server.Config{
 		Engine: tableseg.EngineConfig{
-			Options:          tableseg.DefaultOptions(m),
+			Options:          tableseg.DefaultOptions(tableseg.Probabilistic),
 			Concurrency:      *workers,
 			CacheDir:         *cacheDir,
 			CacheMemoryBytes: *cacheMem,

@@ -5,16 +5,6 @@ import (
 	"testing"
 )
 
-func TestUnknownMethodRejected(t *testing.T) {
-	var stderr strings.Builder
-	if code := run([]string{"-method", "quantum"}, &stderr); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "unknown method") {
-		t.Errorf("stderr = %q", stderr.String())
-	}
-}
-
 func TestBadFlagRejected(t *testing.T) {
 	var stderr strings.Builder
 	if code := run([]string{"-no-such-flag"}, &stderr); code != 2 {

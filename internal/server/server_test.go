@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -643,5 +647,132 @@ func TestLimiterRefill(t *testing.T) {
 	}
 	if l.allow("c", start.Add(500*time.Millisecond)) {
 		t.Fatal("double spend after single refill")
+	}
+}
+
+// postRaw posts body verbatim to the segment endpoint and decodes the
+// error envelope (nil on 200).
+func postRaw(t *testing.T, url, body string) (int, *apiv1.Error) {
+	t.Helper()
+	resp, err := http.Post(url+apiv1.PathSegment, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		return resp.StatusCode, nil
+	}
+	var out apiv1.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || out.Error == nil {
+		t.Fatalf("status %d: undecodable error envelope (%v)", resp.StatusCode, err)
+	}
+	return resp.StatusCode, out.Error
+}
+
+// TestRequestBodyContract pins how the daemon reads request bodies
+// that its own client never writes: each body's status, wire code and
+// message, through the full HTTP stack. The first rows fail to decode;
+// the rest decode, and the decoded value shows in what validation
+// answers (the method or target each body carries).
+func TestRequestBodyContract(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	badMethod := func(m string) string {
+		return fmt.Sprintf("core: invalid options: unknown method %q (want csp, probabilistic or combined)", m)
+	}
+	const pages = `"listPages":[{"html":"<p>a</p>"},{"html":"<p>b</p>"}],"detailPages":[{"html":"<p>d</p>"}]`
+	cases := []struct {
+		name, body string
+		status     int
+		code       apiv1.Code
+		msg        string
+	}{
+		{"empty", ``, 400, apiv1.CodeBadRequest, "decoding request: EOF"},
+		{"truncated mid-string", `{"method":"cs`, 400, apiv1.CodeBadRequest, "decoding request: unexpected EOF"},
+		{"string target", `{"target":"1"}`, 400, apiv1.CodeBadRequest,
+			"decoding request: json: cannot unmarshal string into Go struct field SegmentRequest.target of type int"},
+		{"exponent target", `{"target":1e2}`, 400, apiv1.CodeBadRequest,
+			"decoding request: json: cannot unmarshal number 1e2 into Go struct field SegmentRequest.target of type int"},
+		{"null page lists", `{"listPages":null,"target":0,"detailPages":null}`, 400, apiv1.CodeTooFewListPages,
+			"core: too few list pages: need at least one"},
+		{"unknown field", `{"method":"quantum","priority":7}`, 400, apiv1.CodeBadOptions, badMethod("quantum")},
+		{"case-folded key", `{"Target":5,` + pages + `}`, 400, apiv1.CodeBadTarget, "core: target list page out of range: 5 of 2"},
+		{"duplicate key", `{"method":"csp","method":"quantum"}`, 400, apiv1.CodeBadOptions, badMethod("quantum")},
+		{"trailing bytes", `{"method":"quantum"} {"method":"csp"} ]]`, 400, apiv1.CodeBadOptions, badMethod("quantum")},
+		{"surrogate pair escape", `{"method":"\ud83d\ude00"}`, 400, apiv1.CodeBadOptions, badMethod("\U0001F600")},
+		{"raw invalid UTF-8", "{\"method\":\"q\xffq\"}", 400, apiv1.CodeBadOptions, badMethod("q\uFFFDq")},
+	}
+	for _, c := range cases {
+		status, werr := postRaw(t, ts.URL, c.body)
+		if werr == nil {
+			t.Errorf("%s: status %d, want %d", c.name, status, c.status)
+			continue
+		}
+		if status != c.status || werr.Code != c.code || werr.Message != c.msg {
+			t.Errorf("%s: got %d %s %q, want %d %s %q", c.name, status, werr.Code, werr.Message, c.status, c.code, c.msg)
+		}
+	}
+}
+
+// TestBoundedBodyRead: a request that declares a 64 MiB body, sends a
+// short prefix and half-closes its connection gets a 400 bad_request,
+// and reading it does not reserve the declared size.
+func TestBoundedBodyRead(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	addr := strings.TrimPrefix(ts.URL, "http://")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		apiv1.PathSegment, addr, 64<<20, `{"listPages":[{"name":"a","html":"<p>`)
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out apiv1.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || out.Error == nil {
+		t.Fatalf("status %d: undecodable error envelope (%v)", resp.StatusCode, err)
+	}
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest || out.Error.Code != apiv1.CodeBadRequest ||
+		out.Error.Message != "decoding request: unexpected EOF" {
+		t.Errorf("got %d %s %q, want 400 bad_request \"decoding request: unexpected EOF\"",
+			resp.StatusCode, out.Error.Code, out.Error.Message)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Errorf("reading a 64 MiB declaration allocated %d bytes", grew)
+	}
+}
+
+// TestDecodeRequestReadError: when reading the body fails, the value
+// and the error are what json.Decoder gives reading the same failing
+// stream itself, as the handler once did; a value that completes
+// before the failure still decodes.
+func TestDecodeRequestReadError(t *testing.T) {
+	const full = `{"method":"csp","target":1} and more`
+	boom := errors.New("connection reset")
+	for _, c := range []struct {
+		name string
+		body func() io.Reader
+	}{
+		{"nothing arrived", func() io.Reader { return errReader{boom} }},
+		{"cut mid-value", func() io.Reader { return io.MultiReader(strings.NewReader(full[:12]), errReader{boom}) }},
+		{"cut after the value", func() io.Reader { return io.MultiReader(strings.NewReader(full), errReader{boom}) }},
+		{"over the cap mid-value", func() io.Reader { return http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(full)), 12) }},
+		{"over the cap after the value", func() io.Reader { return http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(full)), 30) }},
+	} {
+		var got, want apiv1.SegmentRequest
+		gotErr := decodeRequest(c.body(), -1, &got)
+		wantErr := json.NewDecoder(c.body()).Decode(&want)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %+v, %v; json.Decoder reads %+v, %v", c.name, got, gotErr, want, wantErr)
+		}
 	}
 }

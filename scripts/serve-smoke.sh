@@ -6,10 +6,14 @@
 #   2. start the daemon and wait for /healthz;
 #   3. segment the site through `tableseg -remote` and assert the JSON
 #      is byte-identical to the in-process `tableseg -json` run;
-#   4. fire two concurrent identical requests and check /varz serves
+#   4. post a hand-written body that the client would never send
+#      (extra whitespace, a case-folded key) and expect 200, then a
+#      truncated body and expect 400 bad_request: the first decodes
+#      through encoding/json, the client's bodies in one pass;
+#   5. fire two concurrent identical requests and check /varz serves
 #      the coalescing and request counters, with the admission gate
 #      and its wait queue drained (inFlight and queueDepth 0);
-#   5. SIGTERM the daemon and assert it drains cleanly (exit 0).
+#   6. SIGTERM the daemon and assert it drains cleanly (exit 0).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,6 +66,48 @@ if ! diff -u "$tmp/local.json" "$tmp/remote.json"; then
     exit 1
 fi
 echo "serve-smoke: remote output byte-identical to local"
+
+# jstr prints a file's contents as a JSON string (its final newline
+# dropped), escaping only what JSON requires, unlike the Go client.
+jstr() {
+    printf '"'
+    sed -e 's/\\/\\\\/g' -e 's/"/\\"/g' -e 's/\t/\\t/g' -e 's/\r/\\r/g' "$1" |
+        awk 'BEGIN { ORS = "" } NR > 1 { print "\\n" } { print }'
+    printf '"'
+}
+
+echo "serve-smoke: hand-written and truncated bodies"
+{
+    printf '{\n  "Method" : "csp" ,\n  "listPages" : [ { "name" : "list1.html" , "html" : '
+    jstr "$site/list1.html"
+    printf ' } ] ,\n  "target" : 0 ,\n  "detailPages" : [ '
+    sep=""
+    for ((k = 1; k < i; k++)); do
+        printf '%s{ "html" : ' "$sep"
+        jstr "$site/list1_detail$k.html"
+        printf ' }'
+        sep=" , "
+    done
+    printf ' ]\n}\n'
+} >"$tmp/handwritten.json"
+post() {
+    curl -sS -o "$tmp/post.out" -w '%{http_code}' -H 'Content-Type: application/json' \
+        --data-binary "@$1" "$BASE/v1/segment"
+}
+code=$(post "$tmp/handwritten.json")
+if [ "$code" != 200 ] || ! grep -q '"method":"csp"' "$tmp/post.out"; then
+    echo "serve-smoke: FAIL hand-written body: status $code, want 200 with method csp" >&2
+    head -c 500 "$tmp/post.out" >&2
+    exit 1
+fi
+head -c 200 "$tmp/handwritten.json" >"$tmp/truncated.json"
+code=$(post "$tmp/truncated.json")
+if [ "$code" != 400 ] || ! grep -q '"code":"bad_request"' "$tmp/post.out"; then
+    echo "serve-smoke: FAIL truncated body: status $code, want 400 bad_request" >&2
+    cat "$tmp/post.out" >&2
+    exit 1
+fi
+echo "serve-smoke: hand-written body 200, truncated body 400 bad_request"
 
 echo "serve-smoke: concurrent identical requests"
 "$tmp/tableseg" "${args[@]}" -json -remote "$BASE" >"$tmp/r1.json" &

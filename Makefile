@@ -21,22 +21,20 @@ vet:
 # (ctxflow, httpresp) and the schema-lock drift checks (wiredrift,
 # codecdrift) — see internal/analysis. Exits non-zero on any finding;
 # only a //tableseglint:ignore directive with a reason suppresses one.
-# LINTCACHE keys cached per-package results by content hash; set
-# LINTCACHE= to force a full re-analysis.
-LINTCACHE ?= .tableseglint-cache
-
+# One serial pass with nothing cached between runs: load and
+# type-check, build the call-graph fact base, run the suite, report.
 lint: vet
-	$(GO) run ./cmd/tableseglint -cache '$(LINTCACHE)'
+	$(GO) run ./cmd/tableseglint
 
 # Machine-readable variants of the same gate: a flat JSON array for
 # scripting, and a SARIF 2.1.0 log (written to tableseglint.sarif,
 # what the CI lint job uploads as an artifact). Both exit 1 on
 # findings, like lint.
 lint-json: vet
-	$(GO) run ./cmd/tableseglint -json -cache '$(LINTCACHE)'
+	$(GO) run ./cmd/tableseglint -json
 
 lint-sarif: vet
-	$(GO) run ./cmd/tableseglint -sarif -cache '$(LINTCACHE)' > tableseglint.sarif
+	$(GO) run ./cmd/tableseglint -sarif > tableseglint.sarif
 
 # Regenerate the two committed schema locks (lint/schema-apiv1.lock,
 # lint/schema-artifacts.lock) from the live tree. Deterministic: a
@@ -141,5 +139,5 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeSegmentRequest -fuzztime=30s ./api/v1
 
 clean:
-	rm -rf corpus .tableseglint-cache
+	rm -rf corpus
 	rm -f tableseglint.sarif

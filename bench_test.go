@@ -421,27 +421,6 @@ func BenchmarkLargePage(b *testing.B) {
 	}
 }
 
-// BenchmarkWSATDynamicWeights compares the plain local search against
-// clause-weighting escape on the worked example's constraint problem.
-func BenchmarkWSATDynamicWeights(b *testing.B) {
-	ex := benchExample(b)
-	for _, dyn := range []bool{false, true} {
-		name := "static"
-		if dyn {
-			name = "dynamic"
-		}
-		enc := csp.Encode(ex.Input, csp.Strict)
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sol, _ := csp.SolveWSATContext(context.Background(), enc.Problem, csp.WSATParams{Seed: int64(i), DynamicWeights: dyn})
-				if !sol.Feasible {
-					b.Fatal("infeasible")
-				}
-			}
-		})
-	}
-}
-
 // benchExample runs the worked example for benchmark setup.
 func benchExample(b *testing.B) *experiments.Example {
 	b.Helper()

@@ -136,7 +136,7 @@ func buildCodecLock(loader *analysis.Loader, root string, cfg analysis.Config) (
 		if !exact {
 			return nil, fmt.Errorf("version constant %s.%s is not an integer", b.ConstPkg, b.ConstName)
 		}
-		typeObj := boundType(pkg.Types, b)
+		typeObj := analysis.BoundType(pkg.Types, b)
 		if typeObj == nil {
 			// The const package no longer reaches the type: there is no
 			// codec for it, so there is nothing to lock (mirrors the
@@ -146,48 +146,6 @@ func buildCodecLock(loader *analysis.Loader, root string, cfg analysis.Config) (
 		lock.Types = append(lock.Types, schema.CodecEntryOf(typeObj, b.ConstPkg+"."+b.ConstName, version, b.OmitFields))
 	}
 	return lock, nil
-}
-
-// boundType resolves a binding's struct from the const package's own
-// scope or transitively through its imports.
-func boundType(pkg *types.Package, b analysis.SchemaBinding) *types.TypeName {
-	lookupIn := func(p *types.Package) *types.TypeName {
-		obj, _ := p.Scope().Lookup(b.TypeName).(*types.TypeName)
-		return obj
-	}
-	if pathMatchesSuffix(pkg.Path(), b.TypePkg) {
-		return lookupIn(pkg)
-	}
-	var walk func(p *types.Package, seen map[string]bool) *types.Package
-	walk = func(p *types.Package, seen map[string]bool) *types.Package {
-		for _, imp := range p.Imports() {
-			if seen[imp.Path()] {
-				continue
-			}
-			seen[imp.Path()] = true
-			if pathMatchesSuffix(imp.Path(), b.TypePkg) {
-				return imp
-			}
-			if found := walk(imp, seen); found != nil {
-				return found
-			}
-		}
-		return nil
-	}
-	if p := walk(pkg, map[string]bool{}); p != nil {
-		return lookupIn(p)
-	}
-	return nil
-}
-
-// pathMatchesSuffix mirrors the analysis package's suffix matching:
-// a whole trailing path-segment sequence.
-func pathMatchesSuffix(pkgPath, suffix string) bool {
-	if pkgPath == suffix {
-		return true
-	}
-	return len(pkgPath) > len(suffix) && pkgPath[len(pkgPath)-len(suffix)-1] == '/' &&
-		pkgPath[len(pkgPath)-len(suffix):] == suffix
 }
 
 // wireBreaks lists the contract erasures a wire-lock rewrite would

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	tableseglint [-root dir] [-json | -sarif] [-analyzers list] [-cache dir] [-jobs n] [-timing] [packages...]
+//	tableseglint [-root dir] [-json | -sarif] [-analyzers list] [packages...]
 //	tableseglint -list
 //	tableseglint [-root dir] -update-locks
 //
@@ -30,14 +30,12 @@
 // names are a usage error). A finding is suppressed only by a
 // `//tableseglint:ignore <analyzer> <reason>` directive at its site.
 //
-// The interprocedural analyzers consume whole-module call-graph
-// summaries, so the driver loads packages once, builds the fact base,
-// and then analyzes packages in parallel (bounded by -jobs). -cache
-// names a directory holding per-package diagnostics keyed by a
-// content hash of the package, its transitive module-local imports,
-// go.mod and the analyzer selection; warm entries skip loading and
-// analysis entirely and the merged output is byte-identical either
-// way. -timing prints per-analyzer wall time per package to stderr.
+// The run is one serial pass: load the packages (the loader pulls in
+// their module-local dependencies too), build the call-graph fact base
+// the interprocedural analyzers consume over every loaded package, run
+// the suite over each package in order, then sort and report. Nothing
+// is cached between runs, so every run lints the tree with the
+// analyzers as they are.
 //
 // Output is plain file:line text by default; -json emits a flat JSON
 // array and -sarif a SARIF 2.1.0 log for CI code-scanning upload.
@@ -55,10 +53,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"tableseg/internal/analysis"
 )
@@ -76,9 +72,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	asJSON := flags.Bool("json", false, "emit findings as a JSON array")
 	asSARIF := flags.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
 	analyzerList := flags.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	cacheDir := flags.String("cache", "", "directory for the per-package diagnostic cache (empty: cache disabled)")
-	jobs := flags.Int("jobs", runtime.NumCPU(), "maximum packages analyzed concurrently")
-	timing := flags.Bool("timing", false, "print per-analyzer wall time per package to stderr")
 	list := flags.Bool("list", false, "print analyzer names and docs, then exit")
 	updateLocks := flags.Bool("update-locks", false, "regenerate the schema lock files from the live tree, then exit")
 	if err := flags.Parse(args); err != nil {
@@ -112,15 +105,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		suite = selected
 	}
 
-	diags, err := run(runConfig{
-		root:     *root,
-		pkgDirs:  flags.Args(),
-		suite:    suite,
-		cacheDir: *cacheDir,
-		jobs:     *jobs,
-		timing:   *timing,
-		stderr:   stderr,
-	})
+	diags, err := run(*root, flags.Args(), suite)
 	if err != nil {
 		fmt.Fprintln(stderr, "tableseglint:", err)
 		return 2
@@ -185,155 +170,45 @@ func selectAnalyzers(suite []*analysis.Analyzer, names string) ([]*analysis.Anal
 	return out, nil
 }
 
-// runConfig carries one lint invocation's settings into run.
-type runConfig struct {
-	root     string
-	pkgDirs  []string
-	suite    []*analysis.Analyzer
-	cacheDir string
-	jobs     int
-	timing   bool
-	stderr   io.Writer
-}
-
-// pkgResult is one package's outcome, keyed for deterministic
-// reporting whatever order the workers finish in.
-type pkgResult struct {
-	dir     string
-	cached  bool
-	diags   []analysis.Diagnostic
-	timings []analysis.AnalyzerTiming
-}
-
-func run(rc runConfig) ([]analysis.Diagnostic, error) {
-	modPath, err := analysis.ModulePathOf(rc.root)
+// run lints the packages in pkgDirs (module-root-relative; every
+// package of the module when empty) with suite and returns the
+// findings ordered by file, line and column.
+func run(root string, pkgDirs []string, suite []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
+	modPath, err := analysis.ModulePathOf(root)
 	if err != nil {
 		return nil, err
 	}
-	// The schema locks are analyzer inputs: load them before either the
-	// cache keyer (their bytes are part of every key) or the analysis
-	// pass. A corrupt lock is a usage error, not something to lint past.
+	// The schema locks are analyzer inputs: a corrupt lock is a usage
+	// error, not something to lint past.
 	cfg := analysis.DefaultConfig()
-	if err := analysis.LoadSchemaLocks(&cfg, rc.root); err != nil {
+	if err := analysis.LoadSchemaLocks(&cfg, root); err != nil {
 		return nil, err
 	}
-	pkgDirs := rc.pkgDirs
 	if len(pkgDirs) == 0 {
-		pkgDirs, err = packageDirs(rc.root)
-		if err != nil {
+		if pkgDirs, err = packageDirs(root); err != nil {
 			return nil, err
 		}
 	}
 
-	results := make(map[string]*pkgResult, len(pkgDirs))
-
-	// Warm-cache pass: decide hit or miss from content hashes alone,
-	// without loading anything.
-	var keys map[string]string
-	if rc.cacheDir != "" {
-		keyer := newCacheKeyer(rc.root, modPath, rc.suite, []string{cfg.WireLockPath, cfg.CodecLockPath})
-		keys = make(map[string]string, len(pkgDirs))
-		for _, dir := range pkgDirs {
-			key, err := keyer.key(dir)
-			if err != nil {
-				// Unkeyable (e.g. parse error): fall through to a real
-				// load, which reports the error properly.
-				continue
-			}
-			keys[dir] = key
-			if diags, ok := cacheLoad(rc.cacheDir, key); ok {
-				results[dir] = &pkgResult{dir: dir, cached: true, diags: diags}
-			}
+	// The loader pulls module-local dependencies in recursively, so the
+	// fact base sees every callee even when only a subset is linted.
+	loader := analysis.NewLoader(root, modPath)
+	pkgs := make([]*analysis.Package, len(pkgDirs))
+	for i, dir := range pkgDirs {
+		if pkgs[i], err = loader.LoadDir(filepath.Join(root, dir)); err != nil {
+			return nil, err
 		}
 	}
+	facts := analysis.BuildFacts(loader.Packages())
 
-	// Load the misses (the loader pulls module-local dependencies in
-	// recursively, so the fact base sees every callee) and build the
-	// shared call-graph summaries.
-	var missDirs []string
-	for _, dir := range pkgDirs {
-		if results[dir] == nil {
-			missDirs = append(missDirs, dir)
-		}
-	}
-	if len(missDirs) > 0 {
-		loader := analysis.NewLoader(rc.root, modPath)
-		missPkgs := make([]*analysis.Package, len(missDirs))
-		for i, dir := range missDirs {
-			pkg, err := loader.LoadDir(filepath.Join(rc.root, dir))
-			if err != nil {
-				return nil, err
-			}
-			missPkgs[i] = pkg
-		}
-		facts := analysis.BuildFacts(loader.Packages())
-
-		// The fact base and config are read-only now; analyze packages
-		// in parallel, bounded by -jobs.
-		jobs := rc.jobs
-		if jobs < 1 {
-			jobs = 1
-		}
-		sem := make(chan struct{}, jobs)
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for i, dir := range missDirs {
-			wg.Add(1)
-			go func(dir string, pkg *analysis.Package) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				diags, timings := analysis.RunTimed(pkg, cfg, rc.suite, facts)
-				mu.Lock()
-				results[dir] = &pkgResult{dir: dir, diags: diags, timings: timings}
-				mu.Unlock()
-			}(dir, missPkgs[i])
-		}
-		wg.Wait()
-
-		if rc.cacheDir != "" {
-			for _, dir := range missDirs {
-				if key, ok := keys[dir]; ok {
-					cacheStore(rc.cacheDir, key, results[dir].diags)
-				}
-			}
-		}
-	}
-
-	if rc.timing {
-		printTimings(rc.stderr, pkgDirs, results)
-	}
-
-	// Merge and re-sort across packages so the combined stream is one
-	// deterministic file:line sequence, cache hits and misses alike.
 	var diags []analysis.Diagnostic
-	for _, dir := range pkgDirs {
-		if r := results[dir]; r != nil {
-			diags = append(diags, r.diags...)
-		}
+	for _, pkg := range pkgs {
+		diags = append(diags, analysis.Run(pkg, cfg, suite, facts)...)
 	}
+	// Run sorts per package; re-sort so the combined stream is one
+	// file:line sequence across packages.
 	analysis.SortDiagnostics(diags)
 	return diags, nil
-}
-
-// printTimings writes one line per package in deterministic order:
-// the package dir, then each analyzer's wall time in suite order.
-func printTimings(w io.Writer, pkgDirs []string, results map[string]*pkgResult) {
-	for _, dir := range pkgDirs {
-		r := results[dir]
-		if r == nil {
-			continue
-		}
-		if r.cached {
-			fmt.Fprintf(w, "timing %-28s (cached)\n", dir)
-			continue
-		}
-		parts := make([]string, 0, len(r.timings))
-		for _, tm := range r.timings {
-			parts = append(parts, fmt.Sprintf("%s=%s", tm.Analyzer, tm.Elapsed.Round(10_000)))
-		}
-		fmt.Fprintf(w, "timing %-28s %s\n", dir, strings.Join(parts, " "))
-	}
 }
 
 // packageDirs lists every directory under root holding at least one

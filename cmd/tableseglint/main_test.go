@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -219,123 +218,5 @@ func TestAnalyzersUnknownIsUsageError(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "unknown analyzer") {
 		t.Errorf("stderr missing unknown-analyzer message: %s", stderr)
-	}
-}
-
-// TestCacheWarmColdIdentical pins the acceptance contract of the
-// diagnostic cache: a cold run that fills the cache, a warm run served
-// from it, and an uncached run must produce byte-identical JSON.
-func TestCacheWarmColdIdentical(t *testing.T) {
-	cache := t.TempDir()
-	codeCold, outCold, _ := runCLI(t, "-root", fixtureRoot, "-json", "-cache", cache)
-	entries, err := os.ReadDir(cache)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("cold run left no cache entries (err=%v)", err)
-	}
-	codeWarm, outWarm, stderrWarm := runCLI(t, "-root", fixtureRoot, "-json", "-cache", cache, "-timing")
-	codeOff, outOff, _ := runCLI(t, "-root", fixtureRoot, "-json")
-	if codeCold != codeWarm || codeWarm != codeOff {
-		t.Fatalf("exit codes differ: cold=%d warm=%d uncached=%d", codeCold, codeWarm, codeOff)
-	}
-	if outCold != outWarm {
-		t.Error("warm-cache output differs from cold-cache output")
-	}
-	if outCold != outOff {
-		t.Error("cached output differs from uncached output")
-	}
-	if !strings.Contains(stderrWarm, "(cached)") {
-		t.Errorf("warm -timing run reported no cache hits:\n%s", stderrWarm)
-	}
-}
-
-// copyFixtureTree copies the fixture module into a temp dir so edits
-// do not touch the shared testdata tree.
-func copyFixtureTree(t *testing.T) string {
-	t.Helper()
-	root := t.TempDir()
-	if err := filepath.WalkDir(fixtureRoot, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(fixtureRoot, path)
-		if err != nil {
-			return err
-		}
-		dst := filepath.Join(root, rel)
-		if d.IsDir() {
-			return os.MkdirAll(dst, 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(dst, data, 0o644)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return root
-}
-
-// cacheEntriesAround fills a cache over a copy of the fixture module,
-// appends suffix to the module-relative file rel, lints again and
-// returns the number of cache entries before and after the edit.
-func cacheEntriesAround(t *testing.T, rel, suffix string) (before, after int) {
-	t.Helper()
-	root := copyFixtureTree(t)
-	cache := t.TempDir()
-	count := func() int {
-		if code, _, stderr := runCLI(t, "-root", root, "-json", "-cache", cache); code == 2 {
-			t.Fatalf("lint run failed: %s", stderr)
-		}
-		entries, err := os.ReadDir(cache)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(entries)
-	}
-	before = count()
-	path := filepath.Join(root, filepath.FromSlash(rel))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, suffix...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return before, count()
-}
-
-// TestCacheInvalidatedByDependencyEdit checks the Merkle keying: an
-// edit to a package re-keys its importers, not just itself.
-func TestCacheInvalidatedByDependencyEdit(t *testing.T) {
-	// Append a comment to a leaf package: its key and every importer's
-	// key must change, producing new cache entries.
-	before, after := cacheEntriesAround(t, "internal/core/fixture.go", "\n// touched\n")
-	if after <= before {
-		t.Errorf("dependency edit added no cache entries: before=%d after=%d", before, after)
-	}
-}
-
-// TestTimingOutput checks -timing prints one line per package with
-// per-analyzer durations.
-func TestTimingOutput(t *testing.T) {
-	_, _, stderr := runCLI(t, "-root", fixtureRoot, "-timing", "util")
-	if !strings.Contains(stderr, "timing util") {
-		t.Fatalf("-timing printed no line for util:\n%s", stderr)
-	}
-	for _, name := range []string{"determinism=", "ctxflow=", "httpresp="} {
-		if !strings.Contains(stderr, name) {
-			t.Errorf("-timing line missing %s:\n%s", name, stderr)
-		}
-	}
-}
-
-// TestCacheInvalidatedBySchemaLockEdit checks the key salt: the schema
-// locks are analyzer inputs, so editing one — here appending blank
-// lines, which still parse — re-keys every package.
-func TestCacheInvalidatedBySchemaLockEdit(t *testing.T) {
-	before, after := cacheEntriesAround(t, "lint/schema-apiv1.lock", "\n\n")
-	if after != 2*before {
-		t.Errorf("lock edit did not re-key every package: before=%d after=%d entries, want %d", before, after, 2*before)
 	}
 }

@@ -31,10 +31,10 @@
 //
 // The analyzers are:
 //
-//   - determinism: forbids time.Now and top-level math/rand functions
-//     in the solver packages, and flags range-over-map loops that
-//     accumulate into order-sensitive state (appends, floating-point
-//     running sums) without a subsequent sort.
+//   - determinism: forbids time.Now in the solver packages, and flags
+//     range-over-map loops that accumulate into order-sensitive state
+//     (appends, floating-point running sums) without a subsequent
+//     sort.
 //   - ctxdiscipline: forbids context.Background/context.TODO inside
 //     internal packages (only the root package's compatibility
 //     wrappers may mint contexts) and requires exported
@@ -115,7 +115,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 
 	"tableseg/internal/analysis/callgraph"
 	"tableseg/internal/analysis/schema"
@@ -145,10 +144,9 @@ type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
 	Cfg      Config
-	// Facts is the summarized whole-module call graph. The
-	// interprocedural analyzers require it; Run builds a single-package
-	// graph when the caller supplies none, so the fixture-driven tests
-	// and single-package embedding keep working.
+	// Facts is the summarized call graph (BuildFacts) that Run's caller
+	// supplies. The analyzers skip their call-graph checks when it is
+	// nil.
 	Facts *callgraph.Graph
 	diags []Diagnostic
 }
@@ -168,8 +166,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // the same analyzers run unchanged over the real tree and over the
 // fixture packages under testdata.
 type Config struct {
-	// DeterminismPkgs are the packages where time.Now, top-level
-	// math/rand and order-sensitive map iteration are forbidden.
+	// DeterminismPkgs are the packages where time.Now and
+	// order-sensitive map iteration are forbidden.
 	DeterminismPkgs []string
 	// FloatEqPkgs are the packages where ==/!= on floats is forbidden.
 	FloatEqPkgs []string
@@ -344,8 +342,8 @@ func isInternal(pkgPath string) bool {
 // interprocedural checks built on internal/analysis/callgraph, and
 // the two schema-lock checks built on internal/analysis/schema. The
 // order is fixed — registration is this literal, never init-order or
-// map-iteration dependent — because the driver's cache keys and the
-// -list output both derive from it.
+// map-iteration dependent — because the -list output and the SARIF
+// rules table both derive from it.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		Determinism(),
@@ -369,8 +367,7 @@ func Suite() []*Analyzer {
 // BuildFacts constructs and summarizes the call graph over pkgs — the
 // shared fact base the interprocedural analyzers consume. Handing it
 // every loaded package of the module yields whole-module resolution;
-// the graph is read-only after this returns, so concurrent passes may
-// share it.
+// the graph is read-only after this returns.
 func BuildFacts(pkgs []*Package) *callgraph.Graph {
 	srcs := make([]callgraph.Source, 0, len(pkgs))
 	for _, p := range pkgs {
@@ -386,36 +383,20 @@ func BuildFacts(pkgs []*Package) *callgraph.Graph {
 	return g
 }
 
-// Run executes every analyzer in the suite over pkg and returns the
-// surviving (non-suppressed) diagnostics sorted by position. The fact
-// base is built from pkg alone; multi-package callers should
-// BuildFacts over the whole module and use RunTimed.
-func Run(pkg *Package, cfg Config, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunTimed(pkg, cfg, analyzers, BuildFacts([]*Package{pkg}))
-	return diags
-}
-
-// AnalyzerTiming is the wall time one analyzer spent on one package.
-type AnalyzerTiming struct {
-	Analyzer string
-	Elapsed  time.Duration
-}
-
-// RunTimed is Run with a caller-supplied fact base, additionally
-// reporting per-analyzer wall time in suite order.
-func RunTimed(pkg *Package, cfg Config, analyzers []*Analyzer, facts *callgraph.Graph) ([]Diagnostic, []AnalyzerTiming) {
+// Run executes analyzers over pkg against the fact base facts and
+// returns the surviving (non-suppressed) diagnostics sorted by
+// position. The driver builds facts once over every package it loaded;
+// a single-package caller passes BuildFacts([]*Package{pkg}).
+func Run(pkg *Package, cfg Config, analyzers []*Analyzer, facts *callgraph.Graph) []Diagnostic {
 	var out []Diagnostic
-	timings := make([]AnalyzerTiming, 0, len(analyzers))
 	for _, a := range analyzers {
 		pass := &Pass{Analyzer: a, Pkg: pkg, Cfg: cfg, Facts: facts}
-		start := time.Now()
 		a.Run(pass)
-		timings = append(timings, AnalyzerTiming{Analyzer: a.Name, Elapsed: time.Since(start)})
 		out = append(out, pass.diags...)
 	}
 	out = filterSuppressed(pkg, out)
 	SortDiagnostics(out)
-	return out, timings
+	return out
 }
 
 // SortDiagnostics orders diagnostics by file, line, column and

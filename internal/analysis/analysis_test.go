@@ -53,7 +53,7 @@ func loadFixtureDiagnostics(t *testing.T) []Diagnostic {
 		if err != nil {
 			t.Fatalf("LoadDir(%s): %v", dir, err)
 		}
-		diags = append(diags, Run(pkg, cfg, Suite())...)
+		diags = append(diags, Run(pkg, cfg, Suite(), BuildFacts([]*Package{pkg}))...)
 	}
 	return diags
 }

@@ -56,7 +56,7 @@ func CodecDrift() *Analyzer {
 				pass.Reportf(constObj.Pos(), "version constant %s is not an integer", b.ConstName)
 				continue
 			}
-			typeObj := lookupBoundType(pass, b)
+			typeObj := BoundType(pass.Pkg.Types, b)
 			if typeObj == nil {
 				continue
 			}
@@ -78,18 +78,19 @@ func CodecDrift() *Analyzer {
 	return a
 }
 
-// lookupBoundType resolves a binding's struct: in the pass's own
-// package scope, or through its (transitive) imports.
-func lookupBoundType(pass *Pass, b SchemaBinding) *types.TypeName {
-	if pathMatches(pass.Pkg.Path, b.TypePkg) {
-		obj, _ := pass.Pkg.Types.Scope().Lookup(b.TypeName).(*types.TypeName)
-		return obj
+// BoundType resolves a binding's struct from pkg, the package
+// declaring its version constant: in pkg's own scope, or through its
+// transitive imports. It returns nil when pkg no longer reaches the
+// type. -update-locks resolves bindings through it too, so the lock
+// and the analyzer always fingerprint the same type.
+func BoundType(pkg *types.Package, b SchemaBinding) *types.TypeName {
+	if !pathMatches(pkg.Path(), b.TypePkg) {
+		if pkg = findImport(pkg, b.TypePkg, map[string]bool{}); pkg == nil {
+			return nil
+		}
 	}
-	if p := findImport(pass.Pkg.Types, b.TypePkg, map[string]bool{}); p != nil {
-		obj, _ := p.Scope().Lookup(b.TypeName).(*types.TypeName)
-		return obj
-	}
-	return nil
+	obj, _ := pkg.Scope().Lookup(b.TypeName).(*types.TypeName)
+	return obj
 }
 
 // findImport walks pkg's import graph depth-first (source order, so

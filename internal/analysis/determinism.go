@@ -9,14 +9,14 @@ import (
 // Determinism returns the analyzer enforcing the solver packages'
 // reproducibility invariants: Table 1–4 output must be byte-identical
 // across runs, worker counts and machines, so the packages that feed
-// those tables may not read the wall clock (inject internal/clock),
-// may not draw from math/rand's shared top-level source (thread a
-// seeded *rand.Rand), and may not let map-iteration order leak into
-// order-sensitive accumulators.
+// those tables may not read the wall clock (inject internal/clock) and
+// may not let map-iteration order leak into order-sensitive
+// accumulators. The shared top-level math/rand source is rngflow's
+// rule, which covers every package under internal/.
 func Determinism() *Analyzer {
 	a := &Analyzer{
 		Name: "determinism",
-		Doc:  "forbid wall-clock reads, top-level math/rand and order-sensitive map iteration in solver packages",
+		Doc:  "forbid wall-clock reads and order-sensitive map iteration in solver packages",
 	}
 	a.Run = func(pass *Pass) {
 		if !matchesAny(pass.Pkg.Path, pass.Cfg.DeterminismPkgs) {
@@ -26,7 +26,7 @@ func Determinism() *Analyzer {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.SelectorExpr:
-					checkSelector(pass, n)
+					checkWallClock(pass, n)
 				case *ast.FuncDecl:
 					if n.Body != nil {
 						checkMapRanges(pass, n.Body)
@@ -39,28 +39,11 @@ func Determinism() *Analyzer {
 	return a
 }
 
-// randAllowed lists the math/rand package-level functions that are
-// deterministic to reference: constructors for an explicitly seeded
-// generator.
-var randAllowed = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
-
-func checkSelector(pass *Pass, sel *ast.SelectorExpr) {
+// checkWallClock flags time.Now.
+func checkWallClock(pass *Pass, sel *ast.SelectorExpr) {
 	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return
-	}
-	switch pass.pkgNameOf(id) {
-	case "time":
-		if sel.Sel.Name == "Now" {
-			pass.Reportf(sel.Pos(), "time.Now is nondeterministic; use internal/clock (the audited wall-clock seam) instead")
-		}
-	case "math/rand", "math/rand/v2":
-		if randAllowed[sel.Sel.Name] {
-			return
-		}
-		if _, isFunc := pass.Pkg.Info.Uses[sel.Sel].(*types.Func); isFunc {
-			pass.Reportf(sel.Pos(), "top-level math/rand.%s uses the shared unseeded source; thread a seeded *rand.Rand", sel.Sel.Name)
-		}
+	if ok && sel.Sel.Name == "Now" && pass.pkgNameOf(id) == "time" {
+		pass.Reportf(sel.Pos(), "time.Now is nondeterministic; use internal/clock (the audited wall-clock seam) instead")
 	}
 }
 

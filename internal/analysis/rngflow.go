@@ -14,11 +14,12 @@ import (
 // down through every randomized call; a generator materializing from
 // anywhere else — the shared top-level source, a package-level
 // variable, an unseeded declaration — silently breaks byte-identical
-// output. Where the determinism analyzer pattern-matches forbidden
-// selectors, rngflow answers the provenance question: for every
-// *rand.Rand reaching a call site it walks the use-def chains built by
-// internal/analysis/dataflow back to the value's origin and accepts
-// only seeded constructors, parameters, fields and other call results.
+// output. rngflow forbids the shared top-level source anywhere under
+// internal/, and in the solver packages it answers the provenance
+// question: for every *rand.Rand reaching a call site it walks the
+// use-def chains built by internal/analysis/dataflow back to the
+// value's origin and accepts only seeded constructors, parameters,
+// fields and other call results.
 func RNGFlow() *Analyzer {
 	a := &Analyzer{
 		Name: "rngflow",
@@ -51,11 +52,14 @@ func RNGFlow() *Analyzer {
 	return a
 }
 
+// randAllowed lists the math/rand package-level functions that are
+// deterministic to reference: constructors for an explicitly seeded
+// generator.
+var randAllowed = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
+
 // checkTopLevelRand flags top-level math/rand functions (minus the
-// seeded-constructor allowlist) anywhere under internal/. This widens
-// the determinism analyzer's same check from the solver packages to
-// the whole internal tree: there is no package where the shared global
-// source is acceptable.
+// seeded-constructor allowlist) anywhere under internal/: there is no
+// package where the shared global source is acceptable.
 func checkTopLevelRand(pass *Pass, sel *ast.SelectorExpr) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {

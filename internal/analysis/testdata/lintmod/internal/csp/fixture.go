@@ -15,7 +15,7 @@ import (
 // SolveBad is an exported solver entry point missing its context.
 func SolveBad(n int) int { // want ctxdiscipline "SolveBad must take a context.Context"
 	stamp := time.Now()  // want determinism "time.Now is nondeterministic"
-	draw := rand.Intn(n) // want determinism "top-level math/rand.Intn" // want rngflow "top-level math/rand.Intn"
+	draw := rand.Intn(n) // want rngflow "top-level math/rand.Intn"
 	return stamp.Nanosecond() + draw
 }
 

@@ -97,9 +97,9 @@ func aboveHardWeightTrap() *Problem {
 // The early stop must never change what WSAT returns: with and without
 // it, a feasible result has the same Assign, SoftPenalty and Restart,
 // an infeasible one stays infeasible, and the early stop never runs
-// more restarts. The suite mixes static and dynamic weights, small
-// flip budgets (so restart 0 often misses the optimum), a low
-// HardWeight (so the optimum can exceed it) and aboveHardWeightTrap.
+// more restarts. The suite mixes small flip budgets (so restart 0
+// often misses the optimum), a low HardWeight (so the optimum can
+// exceed it) and aboveHardWeightTrap.
 func TestEarlyStopMatchesFullRun(t *testing.T) {
 	type instance struct {
 		p      *Problem
@@ -109,9 +109,8 @@ func TestEarlyStopMatchesFullRun(t *testing.T) {
 	var suite []instance
 	for trial := 0; trial < 160; trial++ {
 		params := WSATParams{
-			Seed:           int64(trial),
-			MaxFlips:       []int{5, 40, 0}[rng.Intn(3)],
-			DynamicWeights: trial%2 == 1,
+			Seed:     int64(trial),
+			MaxFlips: []int{5, 40, 0}[rng.Intn(3)],
 		}
 		if trial%4 == 0 {
 			params.HardWeight = 1 + rng.Intn(3)

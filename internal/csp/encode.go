@@ -296,6 +296,10 @@ type SegmentResult struct {
 	Flips, Restarts int
 }
 
+// exactVarLimit is the largest instance, in variables, that
+// SolveParams.ExactCheck hands to the exact solver.
+const exactVarLimit = 120
+
 // SolveParams configures SolveSegmentation.
 type SolveParams struct {
 	WSAT WSATParams
@@ -305,9 +309,8 @@ type SolveParams struct {
 	// ablation of DESIGN.md).
 	MaxCutRounds int
 	// ExactCheck enables UNSAT certification with the exact solver
-	// before relaxing, for instances up to ExactVarLimit variables.
-	ExactCheck    bool
-	ExactVarLimit int
+	// before relaxing, for instances up to exactVarLimit variables.
+	ExactCheck bool
 	// NoRelax disables the relaxation ladder: if the strict encoding
 	// is unsatisfiable the solve fails outright (the relaxation
 	// ablation of DESIGN.md; the paper's §6.3 argues the ladder is
@@ -318,9 +321,6 @@ type SolveParams struct {
 func (sp SolveParams) withDefaults() SolveParams {
 	if sp.MaxCutRounds == 0 {
 		sp.MaxCutRounds = 5
-	}
-	if sp.ExactVarLimit == 0 {
-		sp.ExactVarLimit = 120
 	}
 	return sp
 }
@@ -401,7 +401,7 @@ type rungSearch func(ctx context.Context, p *Problem, params SolveParams) (*Solu
 // on a small enough problem, the exact solver decides.
 func searchWSAT(ctx context.Context, p *Problem, params SolveParams) (*Solution, error) {
 	sol, err := SolveWSATContext(ctx, p, params.WSAT)
-	if err != nil || sol.Feasible || !params.ExactCheck || p.NumVars() > params.ExactVarLimit {
+	if err != nil || sol.Feasible || !params.ExactCheck || p.NumVars() > exactVarLimit {
 		return sol, err
 	}
 	exact, sat, err := SolveExact(ctx, p, ExactParams{})

@@ -340,39 +340,6 @@ func TestWSATLongTabu(t *testing.T) {
 	}
 }
 
-// Dynamic weights must preserve soundness and optimality on the same
-// weighted suite as the static search.
-func TestWSATDynamicWeightsSound(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 25; trial++ {
-		p, _ := plantInstance(rng, 10+rng.Intn(10), 10+rng.Intn(20))
-		sol := solveWSAT(p, WSATParams{Seed: int64(trial), DynamicWeights: true})
-		if !sol.Feasible {
-			t.Errorf("trial %d: dynamic-weight search failed a satisfiable instance", trial)
-		} else if !p.Feasible(sol.Assign) {
-			t.Errorf("trial %d: claimed-feasible assignment violates constraints", trial)
-		}
-	}
-}
-
-// The reported solution quality must be the true objective, never the
-// reshaped score (dynamic weights inflate the internal score only).
-func TestWSATDynamicWeightsReportTrueScore(t *testing.T) {
-	p := NewProblem()
-	a, b := p.AddVar("a"), p.AddVar("b")
-	p.AddHard([]Term{{1, a}, {1, b}}, LE, 1, "h")
-	p.AddSoft([]Term{{1, a}}, GE, 1, 2, "sa")
-	p.AddSoft([]Term{{1, b}}, GE, 1, 2, "sb")
-	sol := solveWSAT(p, WSATParams{Seed: 9, DynamicWeights: true, StagnationWindow: 4})
-	if !sol.Feasible || sol.SoftPenalty != 2 {
-		t.Errorf("feasible=%v soft=%d, want feasible with soft 2", sol.Feasible, sol.SoftPenalty)
-	}
-	hv, sp, _ := p.Eval(sol.Assign)
-	if hv != 0 || sp != sol.SoftPenalty {
-		t.Errorf("reported (0,%d) but re-eval gives (%d,%d)", sol.SoftPenalty, hv, sp)
-	}
-}
-
 // Flips counts the flips performed, not the flip budget: a one-variable
 // instance needs at most one flip from either start, and a planted
 // instance solved in its first restart stops short of MaxFlips.

@@ -24,15 +24,6 @@ type WSATParams struct {
 	// Seed seeds the solver's private RNG; runs are deterministic for
 	// a fixed seed.
 	Seed int64
-	// DynamicWeights enables clause-weighting escape from local minima
-	// (in the spirit of Walser's penalty adaptation): when the search
-	// stagnates, the effective weight of currently violated hard
-	// constraints grows, reshaping the landscape until a descent
-	// direction opens. Weights reset at each restart.
-	DynamicWeights bool
-	// StagnationWindow is the number of flips without improvement that
-	// triggers a weight bump (default 64; DynamicWeights only).
-	StagnationWindow int
 }
 
 func (p WSATParams) withDefaults(problemSize int) WSATParams {
@@ -50,9 +41,6 @@ func (p WSATParams) withDefaults(problemSize int) WSATParams {
 	}
 	if p.HardWeight == 0 {
 		p.HardWeight = 100
-	}
-	if p.StagnationWindow == 0 {
-		p.StagnationWindow = 64
 	}
 	return p
 }
@@ -139,7 +127,6 @@ func runWSAT(ctx context.Context, p *Problem, params WSATParams, certBudget int)
 		if best.Feasible && best.SoftPenalty == 0 {
 			break
 		}
-		stagnant := 0
 		for flip := 0; flip < params.MaxFlips; flip++ {
 			ci := st.pickViolated(rng)
 			if ci < 0 { // all satisfied
@@ -151,20 +138,10 @@ func runWSAT(ctx context.Context, p *Problem, params WSATParams, certBudget int)
 			}
 			st.flip(v, totalFlips+flip)
 			best.Flips++
-			improved := false
-			if st.trueScore() <= best.score(params.HardWeight) {
-				improved = st.recordBest(best, restart)
+			if st.score() <= best.score(params.HardWeight) {
+				st.recordBest(best, restart)
 				if best.Feasible && best.SoftPenalty == 0 {
 					break
-				}
-			}
-			if improved {
-				stagnant = 0
-			} else if params.DynamicWeights {
-				stagnant++
-				if stagnant >= params.StagnationWindow {
-					st.bumpWeights()
-					stagnant = 0
 				}
 			}
 		}
@@ -209,12 +186,6 @@ type searchState struct {
 
 	hardViolation int
 	softPenalty   int
-	// Dynamic clause weights: dyn[ci] is the extra per-unit penalty on
-	// hard constraint ci; dynPenalty aggregates viol[ci]*dyn[ci]. Both
-	// shape the search score only — best-solution tracking uses the
-	// true objective.
-	dyn        []int
-	dynPenalty int
 }
 
 // occurrence is one constraint a variable appears in, with the
@@ -234,7 +205,6 @@ func newSearchState(p *Problem, params WSATParams) *searchState {
 		violSet: make([]int, 0, len(p.Constraints)),
 		inSet:   make([]bool, len(p.Constraints)),
 		tabu:    make([]int, p.NumVars()),
-		dyn:     make([]int, len(p.Constraints)),
 	}
 	for ci := range p.Constraints {
 		for _, t := range p.Constraints[ci].Terms {
@@ -251,10 +221,10 @@ func newSearchState(p *Problem, params WSATParams) *searchState {
 	return st
 }
 
-// trueScore is the unreshaped objective used for best-solution tracking.
-// (Move selection never consults a global score: flipDelta evaluates
-// the reshaped, dynamically weighted objective incrementally.)
-func (st *searchState) trueScore() int {
+// score is the objective used for best-solution tracking. (Move
+// selection never consults a global score: flipDelta evaluates the
+// same objective incrementally.)
+func (st *searchState) score() int {
 	return st.hardViolation*st.params.HardWeight + st.softPenalty
 }
 
@@ -263,25 +233,7 @@ func (st *searchState) randomize(rng *rand.Rand) {
 		st.assign[i] = rng.Intn(2) == 1
 		st.tabu[i] = -1 << 30
 	}
-	for i := range st.dyn {
-		st.dyn[i] = 0
-	}
-	st.dynPenalty = 0
 	st.recompute()
-}
-
-// bumpWeights raises the dynamic weight of every currently violated
-// hard constraint, reshaping the score surface to escape a local
-// minimum.
-func (st *searchState) bumpWeights() {
-	inc := st.params.HardWeight/10 + 1
-	for _, ci := range st.violSet {
-		if st.viol[ci] == 0 || !st.p.Constraints[ci].Hard() {
-			continue
-		}
-		st.dyn[ci] += inc
-		st.dynPenalty += st.viol[ci] * inc
-	}
 }
 
 func (st *searchState) recompute() {
@@ -383,7 +335,7 @@ func (st *searchState) flipDelta(v int) int {
 		c := &st.p.Constraints[o.ci]
 		d := c.violationOf(st.lhs[o.ci]+dir*o.coef) - st.viol[o.ci]
 		if c.Hard() {
-			delta += d * (st.params.HardWeight + st.dyn[o.ci])
+			delta += d * st.params.HardWeight
 		} else {
 			delta += d * c.Weight
 		}
@@ -408,7 +360,6 @@ func (st *searchState) flip(v, now int) {
 		if d != 0 {
 			if c.Hard() {
 				st.hardViolation += d
-				st.dynPenalty += d * st.dyn[ci]
 			} else {
 				st.softPenalty += d * c.Weight
 			}
@@ -421,18 +372,15 @@ func (st *searchState) flip(v, now int) {
 	}
 }
 
-// recordBest keeps the first assignment reaching each true score (ties
+// recordBest keeps the first assignment reaching each score (ties
 // never replace an earlier best, so the result is stable against
-// trajectory perturbations). It reports whether the best strictly
-// improved.
-func (st *searchState) recordBest(best *Solution, restart int) bool {
-	if st.trueScore() < best.score(st.params.HardWeight) {
+// trajectory perturbations).
+func (st *searchState) recordBest(best *Solution, restart int) {
+	if st.score() < best.score(st.params.HardWeight) {
 		copy(best.Assign, st.assign)
 		best.HardViolation = st.hardViolation
 		best.SoftPenalty = st.softPenalty
 		best.Feasible = st.hardViolation == 0
 		best.Restart = restart
-		return true
 	}
-	return false
 }

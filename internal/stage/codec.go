@@ -399,18 +399,6 @@ func DecodeTemplate(data []byte) (Template, error) {
 	return Template{Tpl: pagetemplate.FromData(td)}, nil
 }
 
-// EncodeRecords serializes the PostProcess stage's artifact: the final
-// segmented records, including every extract field, so a journaled
-// task result reconstructs byte-identical JSON/CSV output.
-func EncodeRecords(recs []Record) []byte {
-	e := NewEncoder(artifact.KindResult, CodecVersion)
-	e.Len(len(recs), recs == nil)
-	for i := range recs {
-		encodeRecord(e, &recs[i])
-	}
-	return e.Bytes()
-}
-
 func encodeRecord(e *Encoder, r *Record) {
 	e.Int(int64(r.Index))
 	e.Len(len(r.Extracts), r.Extracts == nil)
@@ -447,29 +435,11 @@ func encodeExtract(e *Encoder, x *extract.Extract) {
 	e.Int(int64(x.ByteEnd))
 }
 
-// DecodeRecords reverses EncodeRecords.
-func DecodeRecords(data []byte) ([]Record, error) {
-	d, err := NewDecoder(data, artifact.KindResult, CodecVersion)
-	if err != nil {
-		return nil, err
-	}
-	recs, err := decodeRecordList(d)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
-// DecodeRecordsFrom reads a record list mid-payload (the engine's
-// result journal embeds one inside its own envelope).
-func DecodeRecordsFrom(d *Decoder) ([]Record, error) {
-	return decodeRecordList(d)
-}
-
-// EncodeRecordsInto appends a record list to an existing payload.
+// EncodeRecordsInto appends the PostProcess stage's artifact to an
+// existing payload (the engine's result journal embeds it inside its
+// own envelope): the final segmented records, including every extract
+// field, so a journaled task result reconstructs byte-identical
+// JSON/CSV output.
 func EncodeRecordsInto(e *Encoder, recs []Record) {
 	e.Len(len(recs), recs == nil)
 	for i := range recs {
@@ -477,7 +447,9 @@ func EncodeRecordsInto(e *Encoder, recs []Record) {
 	}
 }
 
-func decodeRecordList(d *Decoder) ([]Record, error) {
+// DecodeRecordsFrom reverses EncodeRecordsInto, reading a record list
+// mid-payload.
+func DecodeRecordsFrom(d *Decoder) ([]Record, error) {
 	n, isNil, err := d.Len()
 	if err != nil {
 		return nil, err

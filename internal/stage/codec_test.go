@@ -153,6 +153,30 @@ func codecTestRecords() []Record {
 	}
 }
 
+// encodeRecords frames a record list as a payload of its own: a
+// result-kind header, EncodeRecordsInto, nothing after it.
+func encodeRecords(recs []Record) []byte {
+	e := NewEncoder(artifact.KindResult, CodecVersion)
+	EncodeRecordsInto(e, recs)
+	return e.Bytes()
+}
+
+// decodeRecords reverses encodeRecords, rejecting trailing bytes.
+func decodeRecords(data []byte) ([]Record, error) {
+	d, err := NewDecoder(data, artifact.KindResult, CodecVersion)
+	if err != nil {
+		return nil, err
+	}
+	recs, err := DecodeRecordsFrom(d)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
 func TestRecordsRoundTrip(t *testing.T) {
 	cases := map[string][]Record{
 		"nil":   nil,
@@ -160,7 +184,7 @@ func TestRecordsRoundTrip(t *testing.T) {
 		"full":  codecTestRecords(),
 	}
 	for name, recs := range cases {
-		got, err := DecodeRecords(EncodeRecords(recs))
+		got, err := decodeRecords(encodeRecords(recs))
 		if err != nil {
 			t.Errorf("%s: decode: %v", name, err)
 			continue
@@ -171,7 +195,7 @@ func TestRecordsRoundTrip(t *testing.T) {
 	}
 	// NaN confidence round-trips bit-exactly (DeepEqual rejects NaN).
 	recs := []Record{{Confidence: []float64{math.NaN()}}}
-	got, err := DecodeRecords(EncodeRecords(recs))
+	got, err := decodeRecords(encodeRecords(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,12 +232,12 @@ func TestDecodeTruncationsError(t *testing.T) {
 	encodings := map[string][]byte{
 		"tokens":   EncodeTokens(token.Tokenize(codecTestPage)),
 		"template": EncodeTemplate(Template{Tpl: pagetemplate.Induce([][]token.Token{token.Tokenize(codecTestPage), token.Tokenize(codecTestPage + "<hr>")})}),
-		"records":  EncodeRecords(codecTestRecords()),
+		"records":  encodeRecords(codecTestRecords()),
 	}
 	decode := map[string]func([]byte) error{
 		"tokens":   func(b []byte) error { _, err := DecodeTokens(b); return err },
 		"template": func(b []byte) error { _, err := DecodeTemplate(b); return err },
-		"records":  func(b []byte) error { _, err := DecodeRecords(b); return err },
+		"records":  func(b []byte) error { _, err := decodeRecords(b); return err },
 	}
 	for name, data := range encodings {
 		for i := 0; i < len(data); i++ {
@@ -238,7 +262,7 @@ func FuzzArtifactCodec(f *testing.F) {
 	f.Add(tokenPayload("ab", 1, 2))  // a text length past the text block
 	f.Add(tokenPayload("abc", 1, 1)) // text bytes left over
 	f.Add(EncodeTemplate(Template{}))
-	f.Add(EncodeRecords(codecTestRecords()))
+	f.Add(encodeRecords(codecTestRecords()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Arbitrary bytes: decoders may reject but must not panic.
 		if toks, err := DecodeTokens(data); err == nil {
@@ -252,7 +276,7 @@ func FuzzArtifactCodec(f *testing.F) {
 				t.Fatalf("accepted template payload does not re-encode: %v", err)
 			}
 		}
-		if _, err := DecodeRecords(data); err == nil { //nolint:staticcheck // reject-or-accept, never panic
+		if _, err := decodeRecords(data); err == nil { //nolint:staticcheck // reject-or-accept, never panic
 			_ = err
 		}
 

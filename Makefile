@@ -126,9 +126,12 @@ cover:
 # panic; decodable artifacts must round-trip), the probabilistic
 # solver (any valid instance must segment or error, never panic),
 # every solver of internal/solvers (any small problem must segment,
-# with no consecutiveness hole unless the solver is exhausted) and the
-# daemon's request decoder (on any bytes, the value and the error text
-# of encoding/json).
+# with no consecutiveness hole unless the solver is exhausted), the
+# §6.3 column solve (stopped at the optimum its dynamic program
+# proves, it must return a full WSAT run's columns, each record
+# starting at column 0 and strictly increasing) and the daemon's
+# request decoder (on any bytes, the value and the error text of
+# encoding/json).
 fuzz:
 	$(GO) test -fuzz=FuzzTokenize -fuzztime=30s ./internal/htmlx
 	$(GO) test -fuzz=FuzzTokenizeMatchesReference -fuzztime=30s ./internal/token
@@ -136,6 +139,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzArtifactCodec -fuzztime=30s ./internal/stage
 	$(GO) test -fuzz=FuzzSegment -fuzztime=30s ./internal/phmm
 	$(GO) test -fuzz=FuzzSolve -fuzztime=30s ./internal/solvers
+	$(GO) test -fuzz=FuzzAssignColumns -fuzztime=30s ./internal/csp
 	$(GO) test -fuzz=FuzzDecodeSegmentRequest -fuzztime=30s ./api/v1
 
 clean:

@@ -145,8 +145,7 @@ type Pass struct {
 	Pkg      *Package
 	Cfg      Config
 	// Facts is the summarized call graph (BuildFacts) that Run's caller
-	// supplies. The analyzers skip their call-graph checks when it is
-	// nil.
+	// supplies. It is never nil.
 	Facts *callgraph.Graph
 	diags []Diagnostic
 }

@@ -33,7 +33,7 @@ func CtxFlow() *Analyzer {
 		Doc:  "require a held context.Context to reach every may-block callee; forbid bare time.Sleep with a context in hand",
 	}
 	a.Run = func(pass *Pass) {
-		if pass.Facts == nil || !matchesAny(pass.Pkg.Path, pass.Cfg.CtxFlowPkgs) {
+		if !matchesAny(pass.Pkg.Path, pass.Cfg.CtxFlowPkgs) {
 			return
 		}
 		for _, f := range pass.Pkg.Files {

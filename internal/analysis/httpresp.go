@@ -34,9 +34,6 @@ func HTTPResp() *Analyzer {
 		Doc:  "require handlers to respond on every path, set the status at most once, and not mutate headers after the body starts",
 	}
 	a.Run = func(pass *Pass) {
-		if pass.Facts == nil {
-			return
-		}
 		for _, f := range pass.Pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)

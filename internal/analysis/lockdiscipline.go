@@ -39,17 +39,13 @@ func LockDiscipline() *Analyzer {
 				case *ast.FuncDecl:
 					if n.Body != nil {
 						var node *callgraph.Node
-						if fn, _ := pass.Pkg.Info.Defs[n.Name].(*types.Func); fn != nil && pass.Facts != nil {
+						if fn, _ := pass.Pkg.Info.Defs[n.Name].(*types.Func); fn != nil {
 							node = pass.Facts.NodeOf(fn)
 						}
 						checkLocks(pass, node, n.Body)
 					}
 				case *ast.FuncLit:
-					var node *callgraph.Node
-					if pass.Facts != nil {
-						node = pass.Facts.LitNode(n)
-					}
-					checkLocks(pass, node, n.Body)
+					checkLocks(pass, pass.Facts.LitNode(n), n.Body)
 				}
 				return true
 			})

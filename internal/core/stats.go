@@ -8,8 +8,9 @@ import "time"
 type Stats struct {
 	// Stages breaks the call down by pipeline stage, in pipeline order.
 	Stages []StageTiming
-	// WSATRestarts and WSATFlips count the local-search work done by
-	// the CSP solve (0 for the probabilistic method).
+	// WSATRestarts and WSATFlips count the local-search work of every
+	// WSAT run of the task: the CSP segmentation's rungs and the §6.3
+	// column solve (0 for the probabilistic method).
 	WSATRestarts, WSATFlips int
 	// CutRounds counts lazy consecutiveness-repair iterations.
 	CutRounds int

@@ -44,7 +44,8 @@ func TestSolveExactBelowAgreesWithBruteForce(t *testing.T) {
 	proved, found, limited, unsat := 0, 0, 0, 0
 	for trial := 0; trial < 150; trial++ {
 		p := mixedInstance(rng, 4+rng.Intn(9))
-		opt, feasible := bruteForceOptimum(p)
+		opt, count := bruteForceOptimum(p)
+		feasible := count > 0
 		if !feasible {
 			unsat++
 		}
@@ -87,7 +88,7 @@ func TestSolveExactBelowAgreesWithBruteForce(t *testing.T) {
 // HardWeight, which a later restart can still replace.
 func aboveHardWeightTrap() *Problem {
 	p := NewProblem()
-	x, y := p.AddVar("x"), p.AddVar("y")
+	x, y := p.AddVar(), p.AddVar()
 	p.AddHard([]Term{{1, x}, {1, y}}, GE, 2, "h")
 	p.AddSoft([]Term{{1, x}, {1, y}}, LE, 0, 2, "none")
 	p.AddSoft([]Term{{1, x}, {-1, y}}, EQ, 0, 2, "same")
@@ -124,11 +125,11 @@ func TestEarlyStopMatchesFullRun(t *testing.T) {
 	stopped, aboveHardWeight, infeasible := 0, 0, 0
 	for trial, in := range suite {
 		p, params := in.p, in.params
-		full, err := runWSAT(ctx, p, params, 0)
+		full, err := runWSAT(ctx, p, params, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		early, err := runWSAT(ctx, p, params, certNodes)
+		early, err := runWSAT(ctx, p, params, certNodes, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

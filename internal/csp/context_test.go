@@ -11,7 +11,7 @@ import (
 // both hard constraints.
 func unsatProblem() *Problem {
 	p := NewProblem()
-	x := p.AddVar("x")
+	x := p.AddVar()
 	p.AddHard([]Term{{Coef: 1, Var: x}}, GE, 1, "uniq")
 	p.AddHard([]Term{{Coef: 1, Var: x}}, LE, 0, "uniq")
 	return p
@@ -30,7 +30,7 @@ func pigeonholeProblem(holes int) *Problem {
 		x[i] = make([]int, holes)
 		terms := make([]Term, holes)
 		for h := range x[i] {
-			x[i][h] = p.AddVar("")
+			x[i][h] = p.AddVar()
 			terms[h] = Term{Coef: 1, Var: x[i][h]}
 		}
 		p.AddHard(terms, EQ, 1, "uniq")

@@ -34,7 +34,7 @@ func solveExact(p *Problem, params ExactParams) ([]bool, bool, error) {
 
 func assignColumns(t *testing.T, records []int, types []token.Type, params WSATParams) []int {
 	t.Helper()
-	cols, err := AssignColumns(context.Background(), records, types, params)
+	cols, _, _, err := AssignColumns(context.Background(), records, types, params)
 	if err != nil {
 		t.Fatal(err)
 	}

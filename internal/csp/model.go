@@ -131,31 +131,20 @@ func (c *Constraint) String() string {
 // Problem is a pseudo-boolean constraint problem.
 type Problem struct {
 	numVars     int
-	names       []string
 	Constraints []Constraint
 }
 
 // NewProblem creates an empty problem.
 func NewProblem() *Problem { return &Problem{} }
 
-// AddVar introduces a new 0/1 variable with a diagnostic name and
-// returns its index.
-func (p *Problem) AddVar(name string) int {
-	p.names = append(p.names, name)
+// AddVar introduces a new 0/1 variable and returns its index.
+func (p *Problem) AddVar() int {
 	p.numVars++
 	return p.numVars - 1
 }
 
 // NumVars returns the number of variables.
 func (p *Problem) NumVars() int { return p.numVars }
-
-// VarName returns the diagnostic name of variable v.
-func (p *Problem) VarName(v int) string {
-	if v >= 0 && v < len(p.names) && p.names[v] != "" {
-		return p.names[v]
-	}
-	return fmt.Sprintf("x%d", v)
-}
 
 // Add appends a constraint after validating its variable indices.
 func (p *Problem) Add(c Constraint) {

@@ -38,7 +38,7 @@ func TestConstraintViolation(t *testing.T) {
 
 func TestProblemAddValidation(t *testing.T) {
 	p := NewProblem()
-	v := p.AddVar("a")
+	v := p.AddVar()
 	p.AddHard([]Term{{1, v}}, EQ, 1, "t")
 	defer func() {
 		if recover() == nil {
@@ -50,7 +50,7 @@ func TestProblemAddValidation(t *testing.T) {
 
 func TestSoftWeightValidation(t *testing.T) {
 	p := NewProblem()
-	v := p.AddVar("a")
+	v := p.AddVar()
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on non-positive soft weight")
@@ -61,7 +61,7 @@ func TestSoftWeightValidation(t *testing.T) {
 
 func TestEvalAndFeasible(t *testing.T) {
 	p := NewProblem()
-	a, b := p.AddVar("a"), p.AddVar("b")
+	a, b := p.AddVar(), p.AddVar()
 	p.AddHard([]Term{{1, a}, {1, b}}, EQ, 1, "h")
 	p.AddSoft([]Term{{1, a}}, GE, 1, 3, "s")
 
@@ -83,7 +83,7 @@ func TestEvalAndFeasible(t *testing.T) {
 
 func TestConstraintString(t *testing.T) {
 	p := NewProblem()
-	a, b := p.AddVar("a"), p.AddVar("b")
+	a, b := p.AddVar(), p.AddVar()
 	c := Constraint{Terms: []Term{{1, a}, {-2, b}}, Op: LE, RHS: 1, Tag: "demo"}
 	s := c.String()
 	for _, want := range []string{"x0", "2·x1", "<= 1", "[demo]"} {
@@ -94,17 +94,6 @@ func TestConstraintString(t *testing.T) {
 	soft := Constraint{Terms: []Term{{1, a}}, Op: GE, RHS: 1, Weight: 2}
 	if !strings.Contains(soft.String(), "soft w=2") {
 		t.Errorf("soft String() = %q", soft.String())
-	}
-}
-
-func TestVarName(t *testing.T) {
-	p := NewProblem()
-	p.AddVar("x[0,1]")
-	if p.VarName(0) != "x[0,1]" {
-		t.Errorf("VarName(0) = %q", p.VarName(0))
-	}
-	if p.VarName(42) != "x42" {
-		t.Errorf("VarName(42) = %q", p.VarName(42))
 	}
 }
 

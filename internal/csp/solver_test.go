@@ -12,7 +12,7 @@ func plantInstance(rng *rand.Rand, nVars, nCons int) (*Problem, []bool) {
 	p := NewProblem()
 	hidden := make([]bool, nVars)
 	for i := 0; i < nVars; i++ {
-		p.AddVar("")
+		p.AddVar()
 		hidden[i] = rng.Intn(2) == 1
 	}
 	for c := 0; c < nCons; c++ {
@@ -79,7 +79,7 @@ func TestWSATSoftObjective(t *testing.T) {
 	// One hard constraint a+b ≤ 1, soft preferences for both: solver
 	// must satisfy the hard one and exactly one soft.
 	p := NewProblem()
-	a, b := p.AddVar("a"), p.AddVar("b")
+	a, b := p.AddVar(), p.AddVar()
 	p.AddHard([]Term{{1, a}, {1, b}}, LE, 1, "h")
 	p.AddSoft([]Term{{1, a}}, GE, 1, 1, "sa")
 	p.AddSoft([]Term{{1, b}}, GE, 1, 1, "sb")
@@ -97,7 +97,7 @@ func TestWSATSoftObjective(t *testing.T) {
 
 func TestWSATInfeasibleReportsViolation(t *testing.T) {
 	p := NewProblem()
-	a := p.AddVar("a")
+	a := p.AddVar()
 	p.AddHard([]Term{{1, a}}, EQ, 1, "h1")
 	p.AddHard([]Term{{1, a}}, EQ, 0, "h2")
 	sol := solveWSAT(p, WSATParams{Seed: 1, MaxFlips: 200, Restarts: 2})
@@ -112,7 +112,7 @@ func TestWSATInfeasibleReportsViolation(t *testing.T) {
 func TestExactSolvesAndCertifiesUNSAT(t *testing.T) {
 	// Satisfiable.
 	p := NewProblem()
-	a, b, c := p.AddVar("a"), p.AddVar("b"), p.AddVar("c")
+	a, b, c := p.AddVar(), p.AddVar(), p.AddVar()
 	p.AddHard([]Term{{1, a}, {1, b}, {1, c}}, EQ, 2, "")
 	p.AddHard([]Term{{1, a}, {1, b}}, LE, 1, "")
 	assign, sat, err := solveExact(p, ExactParams{})
@@ -128,7 +128,7 @@ func TestExactSolvesAndCertifiesUNSAT(t *testing.T) {
 
 	// Unsatisfiable.
 	q := NewProblem()
-	x, y := q.AddVar("x"), q.AddVar("y")
+	x, y := q.AddVar(), q.AddVar()
 	q.AddHard([]Term{{1, x}, {1, y}}, GE, 2, "")
 	q.AddHard([]Term{{1, x}, {1, y}}, LE, 1, "")
 	_, sat, err = solveExact(q, ExactParams{})
@@ -167,7 +167,7 @@ func TestExactAgreesWithBruteForce(t *testing.T) {
 		nv := 3 + rng.Intn(8)
 		p := NewProblem()
 		for i := 0; i < nv; i++ {
-			p.AddVar("")
+			p.AddVar()
 		}
 		nc := 2 + rng.Intn(10)
 		for c := 0; c < nc; c++ {
@@ -228,7 +228,7 @@ func TestExactNodeLimit(t *testing.T) {
 	p := NewProblem()
 	var vars []int
 	for i := 0; i < 12; i++ {
-		vars = append(vars, p.AddVar(""))
+		vars = append(vars, p.AddVar())
 	}
 	terms := make([]Term, len(vars))
 	for i, v := range vars {
@@ -242,25 +242,26 @@ func TestExactNodeLimit(t *testing.T) {
 }
 
 // bruteForceOptimum finds the minimum weighted soft penalty among
-// hard-feasible assignments (n <= 16).
-func bruteForceOptimum(p *Problem) (int, bool) {
+// hard-feasible assignments (n <= 16) and how many assignments reach
+// it; with none feasible it returns 1<<30 and 0.
+func bruteForceOptimum(p *Problem) (best, count int) {
 	n := p.NumVars()
 	assign := make([]bool, n)
-	best, found := 1<<30, false
+	best = 1 << 30
 	for mask := 0; mask < 1<<n; mask++ {
 		for i := 0; i < n; i++ {
 			assign[i] = mask&(1<<i) != 0
 		}
 		hv, sp, _ := p.Eval(assign)
-		if hv != 0 {
-			continue
-		}
-		found = true
-		if sp < best {
-			best = sp
+		switch {
+		case hv != 0:
+		case sp < best:
+			best, count = sp, 1
+		case sp == best:
+			count++
 		}
 	}
-	return best, found
+	return best, count
 }
 
 // WSAT must reach the brute-force-optimal soft penalty on small
@@ -271,7 +272,7 @@ func TestWSATReachesSoftOptimum(t *testing.T) {
 		nv := 3 + rng.Intn(7)
 		p := NewProblem()
 		for i := 0; i < nv; i++ {
-			p.AddVar("")
+			p.AddVar()
 		}
 		// A few hard constraints from a planted assignment keep the
 		// instance feasible.
@@ -305,8 +306,8 @@ func TestWSATReachesSoftOptimum(t *testing.T) {
 			}
 			p.AddSoft(terms, Op(rng.Intn(3)), rng.Intn(3)-1, 1+rng.Intn(4), "")
 		}
-		wantOpt, feasible := bruteForceOptimum(p)
-		if !feasible {
+		wantOpt, count := bruteForceOptimum(p)
+		if count == 0 {
 			continue
 		}
 		sol := solveWSAT(p, WSATParams{Seed: int64(trial), Restarts: 12, MaxFlips: 6000})
@@ -345,7 +346,7 @@ func TestWSATLongTabu(t *testing.T) {
 // instance solved in its first restart stops short of MaxFlips.
 func TestWSATFlipsCountsPerformedFlips(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar("x")
+	x := p.AddVar()
 	p.AddHard([]Term{{1, x}}, GE, 1, "h")
 	flipped := 0
 	for seed := int64(0); seed < 8; seed++ {

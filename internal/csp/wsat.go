@@ -48,10 +48,11 @@ func (p WSATParams) withDefaults(problemSize int) WSATParams {
 // Solution is the outcome of a solver run.
 type Solution struct {
 	// Assign is the best assignment found. When Feasible is false it
-	// is only a witness of failure: after an early stop (see
-	// SolveWSATContext) it is the best of the first restart, not the
-	// lowest-scoring assignment a full run would have reached, so
-	// callers should read nothing but Feasible from it.
+	// is only a witness of failure: after an early stop on a proof
+	// (see SolveWSATContext) it is the best of the first restart, not
+	// the lowest-scoring assignment a full run would have reached, so
+	// callers should read nothing but Feasible from it. A stop on a
+	// proven floor (see runWSAT) returns what a full run returns.
 	Assign []bool
 	// Feasible is true when Assign satisfies every hard constraint.
 	Feasible bool
@@ -63,8 +64,9 @@ type Solution struct {
 	// Restart records which restart produced the best assignment.
 	Restart int
 	// Restarts counts the restarts actually executed (the loop exits
-	// early once a perfect assignment is found or once no later
-	// restart can replace the best).
+	// early once the best reaches its stopping floor, a perfect
+	// assignment unless the caller proved a higher one, or once no
+	// later restart can replace the best).
 	Restarts int
 }
 
@@ -87,27 +89,34 @@ const certNodes = 1000
 // assignment found; the caller decides what to do with an infeasible
 // best (relax constraints, per §6.3).
 //
-// When the first restart ends short of a perfect assignment, an exact
-// search of at most certNodes nodes looks for a hard-feasible
-// assignment whose soft penalty is below the best's combined score.
-// If it proves there is none, the remaining restarts are skipped: a
-// feasible best with SoftPenalty ≤ HardWeight can then never be
-// replaced (ties never replace a best), so the result is the one a
-// full run returns with fewer Flips and Restarts; an infeasible best
-// stays infeasible, as in a full run, though its Assign may differ.
-// A budget overrun or a better assignment runs every restart.
+// The search stops at the first flip that reaches a perfect
+// assignment (feasible, soft penalty 0). When the first restart ends
+// short of one, an exact search of at most certNodes nodes looks for a
+// hard-feasible assignment whose soft penalty is below the best's
+// combined score. If it proves there is none, the remaining restarts
+// are skipped: a feasible best with SoftPenalty ≤ HardWeight can then
+// never be replaced (ties never replace a best), so the result is the
+// one a full run returns with fewer Flips and Restarts; an infeasible
+// best stays infeasible, as in a full run, though its Assign may
+// differ. A budget overrun or a better assignment runs every restart.
 //
 // Cancellation is checked only at restart boundaries: an uncancelled
 // run performs exactly the same flip sequence regardless of deadline
 // (results stay deterministic for a fixed seed), while a cancelled one
 // returns ctx.Err() within one restart's worth of flips.
 func SolveWSATContext(ctx context.Context, p *Problem, params WSATParams) (*Solution, error) {
-	return runWSAT(ctx, p, params, certNodes)
+	return runWSAT(ctx, p, params, certNodes, 0)
 }
 
-// runWSAT is SolveWSATContext with the early stop's node budget as a
-// parameter; 0 turns the early stop off.
-func runWSAT(ctx context.Context, p *Problem, params WSATParams, certBudget int) (*Solution, error) {
+// runWSAT is SolveWSATContext with the early stop's node budget and
+// the stopping floor as parameters. A certBudget of 0 turns the proof
+// after the first restart off. floor must be a proven lower bound on
+// the combined score of every assignment, feasible or not: the search
+// ends at the first flip whose best reaches it. No later flip could
+// then replace that best (ties never do), so the result is the one a
+// full run returns, with fewer Flips and Restarts. Floor 0 is always
+// such a bound, and reaching it means a perfect assignment.
+func runWSAT(ctx context.Context, p *Problem, params WSATParams, certBudget, floor int) (*Solution, error) {
 	params = params.withDefaults(p.NumVars())
 	rng := rand.New(rand.NewSource(params.Seed))
 	st := newSearchState(p, params)
@@ -124,7 +133,7 @@ func runWSAT(ctx context.Context, p *Problem, params WSATParams, certBudget int)
 		best.Restarts = restart + 1
 		st.randomize(rng)
 		st.recordBest(best, restart)
-		if best.Feasible && best.SoftPenalty == 0 {
+		if best.score(params.HardWeight) <= floor {
 			break
 		}
 		for flip := 0; flip < params.MaxFlips; flip++ {
@@ -140,13 +149,13 @@ func runWSAT(ctx context.Context, p *Problem, params WSATParams, certBudget int)
 			best.Flips++
 			if st.score() <= best.score(params.HardWeight) {
 				st.recordBest(best, restart)
-				if best.Feasible && best.SoftPenalty == 0 {
+				if best.score(params.HardWeight) <= floor {
 					break
 				}
 			}
 		}
 		totalFlips += params.MaxFlips
-		if best.Feasible && best.SoftPenalty == 0 {
+		if best.score(params.HardWeight) <= floor {
 			break
 		}
 	}

@@ -63,15 +63,17 @@ func (res *Result) solveCSP(ctx context.Context, p *stage.Problem, params csp.So
 }
 
 // assignColumns optionally runs §6.3 CSP column assignment over the
-// solved records, writing into res.Columns.
+// solved records, writing into res.Columns and adding its WSAT effort
+// to the counters.
 func (res *Result) assignColumns(ctx context.Context, enabled bool, p *stage.Problem, params csp.WSATParams) error {
 	if !enabled {
 		return nil
 	}
-	cols, err := csp.AssignColumns(ctx, res.Records, p.FirstTypes, params)
+	cols, flips, restarts, err := csp.AssignColumns(ctx, res.Records, p.FirstTypes, params)
 	if err != nil {
 		return err
 	}
+	res.Counters.Add(stage.Counters{WSATRestarts: restarts, WSATFlips: flips})
 	copy(res.Columns, cols)
 	return nil
 }

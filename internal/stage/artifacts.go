@@ -128,7 +128,8 @@ type Problem struct {
 
 // Counters aggregates a solver's effort, whatever its family.
 type Counters struct {
-	// WSATRestarts and WSATFlips count local-search work (CSP family).
+	// WSATRestarts and WSATFlips count the local-search work of every
+	// WSAT run of the solve, column assignment included (CSP family).
 	WSATRestarts, WSATFlips int
 	// CutRounds counts lazy consecutiveness-repair iterations.
 	CutRounds int

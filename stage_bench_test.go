@@ -4,11 +4,11 @@ package tableseg
 // benchmark per pipeline stage on a representative generated site, one
 // for decoding a cached token stream, one solver benchmark per name in
 // solvers.Names on the same Problem, one WSAT restart inside the CSP
-// solver and one EM iteration inside the probabilistic solver. `make bench` exports
-// their results as BENCH_stages.json (via cmd/benchjson) so stage-level
-// regressions show up as structured diffs; `make bench-check` fails
-// when allocs/op grow past it, and CI smoke-runs them with
-// -benchtime=1x.
+// solver, the CSP's column solve and one EM iteration inside the
+// probabilistic solver. `make bench` exports their results as
+// BENCH_stages.json (via cmd/benchjson) so stage-level regressions show
+// up as structured diffs; `make bench-check` fails when allocs/op grow
+// past it, and CI smoke-runs them with -benchtime=1x.
 
 import (
 	"context"
@@ -256,6 +256,21 @@ func BenchmarkSolverWSATRestart(b *testing.B) {
 		sol, err := csp.SolveWSATContext(context.Background(), enc.Problem, params)
 		if err != nil || !sol.Feasible || sol.SoftPenalty == 0 {
 			b.Fatalf("err %v, solution %+v", err, sol)
+		}
+	}
+}
+
+// BenchmarkSolverColumns times the §6.3 column solve of Sprint
+// Canada's first Table 4 page: csp.AssignColumns over the records the
+// fixture's CSP solve (outside the timer) found.
+func BenchmarkSolverColumns(b *testing.B) {
+	f := newStageFixture(b, "sprintcanada", 0)
+	params := f.opts.CSPParams.WSAT
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cols, _, _, err := csp.AssignColumns(context.Background(), f.asg.Records, f.prob.FirstTypes, params)
+		if err != nil || len(cols) != len(f.asg.Records) {
+			b.Fatal(err)
 		}
 	}
 }

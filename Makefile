@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json lint-sarif update-locks serve-smoke resume-smoke results-check check bench bench-stages bench-check experiments results corpus cover fuzz clean
+.PHONY: all build test vet lint lint-sarif update-locks serve-smoke resume-smoke results-check check bench bench-stages bench-check experiments results corpus cover fuzz clean
 
 all: build check
 
@@ -26,13 +26,9 @@ vet:
 lint: vet
 	$(GO) run ./cmd/tableseglint
 
-# Machine-readable variants of the same gate: a flat JSON array for
-# scripting, and a SARIF 2.1.0 log (written to tableseglint.sarif,
-# what the CI lint job uploads as an artifact). Both exit 1 on
-# findings, like lint.
-lint-json: vet
-	$(GO) run ./cmd/tableseglint -json
-
+# Machine-readable variant of the same gate: a SARIF 2.1.0 log
+# (written to tableseglint.sarif, what the CI lint job uploads as an
+# artifact). Exits 1 on findings, like lint.
 lint-sarif: vet
 	$(GO) run ./cmd/tableseglint -sarif > tableseglint.sarif
 

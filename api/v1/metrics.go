@@ -55,8 +55,9 @@ type EngineCounters struct {
 	TemplateHits   int64 `json:"templateHits"`
 	TemplateMisses int64 `json:"templateMisses"`
 	CachedSites    int64 `json:"cachedSites"`
-	// ResultHits and ResultMisses count result-journal lookups (always
-	// zero unless the daemon runs with resume enabled).
+	// ResultHits and ResultMisses count result-journal lookups: zero
+	// unless the serving engine was built with Resume, which tablesegd
+	// never sets (every request runs the pipeline).
 	ResultHits   int64 `json:"resultHits"`
 	ResultMisses int64 `json:"resultMisses"`
 	// Tiers reports the artifact store's per-tier counters, fast tier

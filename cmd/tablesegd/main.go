@@ -10,9 +10,14 @@
 // segmentations complete, queued-but-unadmitted requests get 503, and
 // the process exits once the last response is written (or the drain
 // timeout expires). -cache-dir persists the artifact cache (tokenized
-// pages, induced templates, journaled results) across restarts;
-// -resume additionally answers repeated requests straight from the
-// journal. Per-tier cache counters are exported on /varz.
+// pages, induced templates) across restarts; every request still runs
+// the pipeline. Per-tier cache counters are exported on /varz.
+//
+// Reading a request is bounded: its header must arrive within 10 s and
+// the whole request within 90 s, enough for the largest body the
+// server accepts (64 MiB) sent at about 1 MB/s. A client that declares
+// a body and stalls gets a response or a closed connection at that
+// bound instead of holding a handler, its body buffer and the drain.
 package main
 
 import (
@@ -31,8 +36,21 @@ import (
 	"tableseg/internal/server"
 )
 
+// Request-read bounds. readTimeout covers header and body: a 64 MiB
+// body (the server's cap) sent at about 1 MB/s takes 67 s.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 90 * time.Second
+)
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stderr))
+}
+
+// newHTTPServer serves h on addr, bounding the read of each request's
+// header by readHeader and of the whole request by read.
+func newHTTPServer(addr string, h http.Handler, readHeader, read time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeader, ReadTimeout: read}
 }
 
 // run is main with its dependencies injected. It returns the process
@@ -52,14 +70,7 @@ func run(args []string, stderr io.Writer) int {
 	cacheDir := fs.String("cache-dir", "", "persistent artifact-cache directory (adds a disk tier behind the in-memory cache)")
 	cacheMem := fs.Int64("cache-mem", 0, "in-memory artifact-cache budget in bytes (0 = default)")
 	cacheDisk := fs.Int64("cache-disk", 0, "disk artifact-cache budget in bytes (0 = default; needs -cache-dir)")
-	resume := fs.Bool("resume", false, "answer repeated requests from the -cache-dir result journal")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	if *resume && *cacheDir == "" {
-		fmt.Fprintln(stderr, "tablesegd: -resume requires -cache-dir (the result journal lives in the disk cache)")
-		fs.Usage()
 		return 2
 	}
 
@@ -72,7 +83,6 @@ func run(args []string, stderr io.Writer) int {
 			CacheDir:         *cacheDir,
 			CacheMemoryBytes: *cacheMem,
 			CacheDiskBytes:   *cacheDisk,
-			Resume:           *resume,
 		},
 		MaxQueue:       *maxQueue,
 		RatePerSec:     *rate,
@@ -85,7 +95,7 @@ func run(args []string, stderr io.Writer) int {
 		return 2
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler(), readHeaderTimeout, readTimeout)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 

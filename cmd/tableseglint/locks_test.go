@@ -176,7 +176,6 @@ func TestCodecDriftClearedByVersionBump(t *testing.T) {
 // TestUpdateLocksExcludesOtherModes: -update-locks is its own mode.
 func TestUpdateLocksExcludesOtherModes(t *testing.T) {
 	for _, args := range [][]string{
-		{"-update-locks", "-json"},
 		{"-update-locks", "-sarif"},
 		{"-update-locks", "-analyzers", "wiredrift"},
 		{"-update-locks", "api/v1"},

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	tableseglint [-root dir] [-json | -sarif] [-analyzers list] [packages...]
+//	tableseglint [-root dir] [-sarif] [-analyzers list] [packages...]
 //	tableseglint -list
 //	tableseglint [-root dir] -update-locks
 //
@@ -37,10 +37,10 @@
 // is cached between runs, so every run lints the tree with the
 // analyzers as they are.
 //
-// Output is plain file:line text by default; -json emits a flat JSON
-// array and -sarif a SARIF 2.1.0 log for CI code-scanning upload.
-// Whatever the format, diagnostics are ordered by file, line and
-// column across all packages, so output is diff-stable.
+// Output is plain file:line text by default; -sarif emits a SARIF
+// 2.1.0 log for CI code-scanning upload. Either way, diagnostics are
+// ordered by file, line and column across all packages, so output is
+// diff-stable.
 //
 // Exit codes: 0 when the tree is clean, 1 when findings survive, 2 on
 // usage or load errors.
@@ -69,7 +69,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("tableseglint", flag.ContinueOnError)
 	flags.SetOutput(stderr)
 	root := flags.String("root", ".", "module root directory (must contain go.mod)")
-	asJSON := flags.Bool("json", false, "emit findings as a JSON array")
 	asSARIF := flags.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
 	analyzerList := flags.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	list := flags.Bool("list", false, "print analyzer names and docs, then exit")
@@ -77,12 +76,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if err := flags.Parse(args); err != nil {
 		return 2
 	}
-	if *asJSON && *asSARIF {
-		fmt.Fprintln(stderr, "tableseglint: -json and -sarif are mutually exclusive")
-		return 2
-	}
 	if *updateLocks {
-		if *asJSON || *asSARIF || *analyzerList != "" || len(flags.Args()) > 0 {
+		if *asSARIF || *analyzerList != "" || len(flags.Args()) > 0 {
 			fmt.Fprintln(stderr, "tableseglint: -update-locks takes no other modes or package arguments")
 			return 2
 		}
@@ -110,22 +105,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "tableseglint:", err)
 		return 2
 	}
-	switch {
-	case *asJSON:
-		out, err := analysis.EncodeJSON(diags)
-		if err != nil {
-			fmt.Fprintln(stderr, "tableseglint:", err)
-			return 2
-		}
-		fmt.Fprintln(stdout, string(out))
-	case *asSARIF:
+	if *asSARIF {
 		out, err := analysis.EncodeSARIF(diags, suite)
 		if err != nil {
 			fmt.Fprintln(stderr, "tableseglint:", err)
 			return 2
 		}
 		fmt.Fprintln(stdout, string(out))
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
 		}

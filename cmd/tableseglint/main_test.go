@@ -48,7 +48,6 @@ func TestExitFindingsIsOne(t *testing.T) {
 func TestExitUsageErrorsAreTwo(t *testing.T) {
 	cases := [][]string{
 		{"-no-such-flag"},
-		{"-json", "-sarif"},
 		{"-root", t.TempDir()}, // no go.mod: load error
 	}
 	for _, args := range cases {
@@ -83,40 +82,6 @@ func TestDeterministicGlobalOrder(t *testing.T) {
 
 func pad(num string) string {
 	return strings.Repeat("0", 8-len(num)) + num
-}
-
-func TestJSONOutput(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-root", fixtureRoot, "-json", "internal/csp")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	var entries []struct {
-		Analyzer string `json:"analyzer"`
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Message  string `json:"message"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &entries); err != nil {
-		t.Fatalf("-json output is not valid JSON: %v\n%s", err, stdout)
-	}
-	if len(entries) == 0 {
-		t.Fatal("-json output empty for a package with findings")
-	}
-	for _, e := range entries {
-		if e.Analyzer == "" || e.File == "" || e.Line == 0 || e.Message == "" {
-			t.Errorf("incomplete JSON entry: %+v", e)
-		}
-	}
-}
-
-func TestJSONOutputCleanIsEmptyArray(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-root", fixtureRoot, "-json", "util")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0", code)
-	}
-	if strings.TrimSpace(stdout) != "[]" {
-		t.Errorf("clean -json output = %q, want []", strings.TrimSpace(stdout))
-	}
 }
 
 func TestSARIFOutput(t *testing.T) {

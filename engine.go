@@ -74,9 +74,3 @@ type Observer = stage.Observer
 // NewEngine creates an Engine after validating the configuration
 // (ErrBadOptions on a bad one).
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
-
-// InputKey returns the hex content hash of a segmentation input (list
-// pages, target, detail pages) — the engine's coalescing key: two
-// inputs share a key exactly when the engine computes byte-identical
-// segmentations for them under equal options.
-func InputKey(in Input) string { return engine.InputKey(in) }

@@ -16,9 +16,9 @@
 // three dataflow analyzers (rngflow, probflow, aliasflow) run the
 // worklist solver of internal/analysis/dataflow over those same
 // graphs, so "where did this value come from?" facts — RNG
-// provenance, probability taint, input aliasing — are answered by
-// reaching definitions and taint propagation rather than syntax; the
-// two interprocedural analyzers (ctxflow, httpresp), and
+// provenance, probability taint, input aliasing — are answered by one
+// taint-propagation lattice rather than syntax; the two
+// interprocedural analyzers (ctxflow, httpresp), and
 // lockdiscipline for the calls it finds inside a critical section,
 // consume the whole-module call graph and per-function summaries of
 // internal/analysis/callgraph, so a context dropped one call deep, a
@@ -63,12 +63,12 @@
 //     closed by its producer, exactly once, only after joining any
 //     other senders; no function closes a channel it received as a
 //     parameter.
-//   - rngflow: every *rand.Rand used at a call site in the solver
-//     packages must derive — through its def-use chain — from a
-//     seeded constructor, a parameter or another threaded source, not
-//     from a package-level generator or an unseeded declaration; and
-//     top-level math/rand functions are forbidden anywhere under
-//     internal/.
+//   - rngflow: no *rand.Rand used at a call site in the solver
+//     packages may carry taint from a package-level generator (not
+//     overwritten in the function) or from a declaration without a
+//     value; seeded constructors, parameters and other threaded
+//     sources carry none. Top-level math/rand functions are forbidden
+//     anywhere under internal/.
 //   - probflow: float values tainted as probabilities (model tables,
 //     forward–backward messages) may not flow into a division,
 //     math.Log, or an ordered comparison of two tainted operands
@@ -190,9 +190,9 @@ type Config struct {
 	// OrchestrationPkgs are the pipeline-orchestration packages, off
 	// limits to both stages and solvers.
 	OrchestrationPkgs []string
-	// RNGPkgs are the packages where rngflow traces every *rand.Rand
-	// reaching a call site back to a seeded constructor, a parameter or
-	// another non-global origin via def-use chains.
+	// RNGPkgs are the packages where rngflow taints package-level
+	// generators and *rand.Rand declarations without a value, and
+	// reports every call site either may reach.
 	RNGPkgs []string
 	// ProbPkgs are the packages where probflow tracks probability
 	// taint into division, math.Log and comparison sinks.

@@ -39,136 +39,6 @@ func compile(t *testing.T, src, fn string) (*ast.FuncDecl, *types.Info) {
 	return nil, nil
 }
 
-// identAt finds the n-th (0-based) occurrence of name as a use inside
-// body, in source order.
-func identAt(t *testing.T, body *ast.BlockStmt, name string, n int) *ast.Ident {
-	t.Helper()
-	var found *ast.Ident
-	count := 0
-	ast.Inspect(body, func(m ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		if id, ok := m.(*ast.Ident); ok && id.Name == name {
-			if count == n {
-				found = id
-				return false
-			}
-			count++
-		}
-		return true
-	})
-	if found == nil {
-		t.Fatalf("ident %s #%d not found", name, n)
-	}
-	return found
-}
-
-func TestChainsStraightLine(t *testing.T) {
-	fd, info := compile(t, `package t
-func f() int {
-	x := 1
-	x = 2
-	return x
-}`, "f")
-	g := cfg.New(fd.Body)
-	c := NewChains(fd.Body, g, info)
-
-	// The x in `return x` (occurrence: x:=1 is a def, x=2 is a def,
-	// return x is the first chained use).
-	use := identAt(t, fd.Body, "x", 2)
-	defs := c.DefsOf(use)
-	if len(defs) != 1 {
-		t.Fatalf("DefsOf(return x) = %d defs, want 1 (the x = 2 redefinition)", len(defs))
-	}
-	if defs[0].Kind != DefAssign {
-		t.Errorf("reaching def kind = %v, want DefAssign", defs[0].Kind)
-	}
-	if lit, ok := defs[0].RHS.(*ast.BasicLit); !ok || lit.Value != "2" {
-		t.Errorf("reaching def RHS = %v, want the literal 2", defs[0].RHS)
-	}
-	if uses := c.UsesOf(defs[0]); len(uses) != 1 || uses[0] != use {
-		t.Errorf("UsesOf(x=2) = %v, want exactly the return-x use", uses)
-	}
-}
-
-func TestChainsBranchMerge(t *testing.T) {
-	fd, info := compile(t, `package t
-func f(c bool) int {
-	x := 1
-	if c {
-		x = 2
-	}
-	return x
-}`, "f")
-	g := cfg.New(fd.Body)
-	c := NewChains(fd.Body, g, info)
-
-	use := identAt(t, fd.Body, "x", 2)
-	defs := c.DefsOf(use)
-	if len(defs) != 2 {
-		t.Fatalf("DefsOf(return x) = %d defs, want 2 (both branch defs reach)", len(defs))
-	}
-}
-
-func TestChainsLoopSelfUse(t *testing.T) {
-	fd, info := compile(t, `package t
-func f(n int) int {
-	s := 0
-	for i := 0; i < n; i++ {
-		s = s + i
-	}
-	return s
-}`, "f")
-	g := cfg.New(fd.Body)
-	c := NewChains(fd.Body, g, info)
-
-	// The s on the RHS of `s = s + i` must see both the initial s := 0
-	// and the loop's own s = s + i (back edge).
-	rhsUse := identAt(t, fd.Body, "s", 2)
-	defs := c.DefsOf(rhsUse)
-	if len(defs) != 2 {
-		t.Fatalf("DefsOf(s in s+i) = %d defs, want 2 (init + back edge)", len(defs))
-	}
-}
-
-func TestChainsEntryDefsForParams(t *testing.T) {
-	fd, info := compile(t, `package t
-func f(n int) int {
-	return n + 1
-}`, "f")
-	g := cfg.New(fd.Body)
-	c := NewChains(fd.Body, g, info)
-
-	use := identAt(t, fd.Body, "n", 0)
-	defs := c.DefsOf(use)
-	if len(defs) != 1 || defs[0].Kind != DefEntry {
-		t.Fatalf("DefsOf(param n) = %v, want one DefEntry", defs)
-	}
-}
-
-func TestChainsRangeBindings(t *testing.T) {
-	fd, info := compile(t, `package t
-func f(xs []int) int {
-	s := 0
-	for _, v := range xs {
-		s += v
-	}
-	return s
-}`, "f")
-	g := cfg.New(fd.Body)
-	c := NewChains(fd.Body, g, info)
-
-	use := identAt(t, fd.Body, "v", 1) // the v in s += v
-	defs := c.DefsOf(use)
-	if len(defs) != 1 || defs[0].Kind != DefRange {
-		t.Fatalf("DefsOf(v) = %v, want one DefRange", defs)
-	}
-	if _, ok := defs[0].RHS.(*ast.Ident); !ok {
-		t.Errorf("range def RHS = %T, want the ranged operand xs", defs[0].RHS)
-	}
-}
-
 func isFloat(tt types.Type) bool {
 	b, ok := tt.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
@@ -304,6 +174,41 @@ func f(in []int) Out {
 	})
 	if retMask != 1 {
 		t.Fatalf("composite-literal return mask = %#x, want 1 (param aliased)", retMask)
+	}
+}
+
+func TestTaintZeroDeclReachesOnlyUnassignedPaths(t *testing.T) {
+	fd, info := compile(t, `package t
+func f(c bool) (*int, *int, int) {
+	var p, q *int
+	var n int
+	if c {
+		p = new(int)
+	}
+	q = new(int)
+	return p, q, n
+}`, "f")
+	g := cfg.New(fd.Body)
+	tt := NewTaint(fd.Body, g, TaintConfig{
+		Info:     info,
+		ZeroDecl: 1,
+		TypeOK: func(t types.Type) bool {
+			_, ok := t.(*types.Pointer)
+			return ok
+		},
+	})
+	var got [3]Mask
+	tt.Walk(func(_ *cfg.Block, n ast.Node, fact map[types.Object]Mask) {
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			for i, r := range ret.Results {
+				got[i] = tt.Mask(fact, r)
+			}
+		}
+	})
+	// p is assigned on one branch only, q on every path, and n fails
+	// the type filter.
+	if got != [3]Mask{1, 0, 0} {
+		t.Fatalf("masks of p, q, n = %v, want [1 0 0]", got)
 	}
 }
 

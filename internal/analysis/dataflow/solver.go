@@ -1,19 +1,18 @@
 // Package dataflow implements a generic forward worklist solver over
-// the control-flow graphs of internal/analysis/cfg, plus the two
-// standard instantiations the tableseglint analyzers are built from:
-// reaching definitions with use-def/def-use chains (rngflow's RNG
-// provenance) and a configurable taint-propagation lattice with
-// per-source provenance masks (probflow's probability tracking,
+// the control-flow graphs of internal/analysis/cfg, plus the one
+// instantiation the tableseglint analyzers are built from: a
+// configurable taint-propagation lattice with per-source provenance
+// masks (rngflow's RNG provenance, probflow's probability tracking,
 // aliasflow's input-aliasing tracking).
 //
 // Everything here is intra-procedural and stdlib-only (go/ast,
 // go/types), matching the rest of the suite. Function literals are
-// opaque to a graph — cfg.New never descends into them — so chains and
-// taint facts never cross a closure boundary; analyzers that care
-// analyze each literal body as its own unit.
+// opaque to a graph — cfg.New never descends into them — so taint
+// facts never cross a closure boundary; analyzers that care analyze
+// each literal body as its own unit.
 //
 // Facts are per-block: Solve computes the fixpoint of In/Out facts,
-// and the chain/taint layers replay a block's nodes in order to answer
+// and the taint layer replays a block's nodes in order to answer
 // statement-granular queries deterministically.
 package dataflow
 

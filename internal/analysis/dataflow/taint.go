@@ -60,6 +60,11 @@ type TaintConfig struct {
 	// dst only when the element type itself carries references
 	// (CarriesRefs); a copy of scalar elements is a true deep copy.
 	ElemCopyRefs bool
+
+	// ZeroDecl taints a variable declared without a value (var x T),
+	// subject to TypeOK: a nil *rand.Rand may be used unseeded.
+	// Optional.
+	ZeroDecl Mask
 }
 
 // Taint is the per-function taint fixpoint. Facts map tainted objects
@@ -303,7 +308,7 @@ func (t *Taint) applyNode(f taintFact, n ast.Node) {
 					if obj == nil {
 						continue
 					}
-					var m Mask
+					m := t.cfg.ZeroDecl
 					if i < len(vs.Values) {
 						m = t.exprMask(f, vs.Values[i])
 					} else if len(vs.Values) == 1 {

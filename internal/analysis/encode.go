@@ -7,36 +7,10 @@ import (
 	"strings"
 )
 
-// This file renders diagnostics in the two machine-readable formats
-// cmd/tableseglint emits: a flat JSON array for scripting, and SARIF
-// 2.1.0 for CI code-scanning annotation. Both encoders take the
-// already-sorted diagnostic slice, so their output is byte-stable for
-// a given tree.
-
-// JSONDiagnostic is the scripting-friendly projection of a Diagnostic.
-type JSONDiagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-// EncodeJSON renders diags as an indented JSON array (never null: an
-// empty tree encodes as []).
-func EncodeJSON(diags []Diagnostic) ([]byte, error) {
-	out := make([]JSONDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, JSONDiagnostic{
-			Analyzer: d.Analyzer,
-			File:     sarifURI(d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Message:  d.Message,
-		})
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
+// This file renders diagnostics as SARIF 2.1.0, the machine-readable
+// format cmd/tableseglint emits for CI code-scanning annotation. The
+// encoder takes the already-sorted diagnostic slice, so its output is
+// byte-stable for a given tree.
 
 // SARIF 2.1.0 document skeleton — only the fields the format requires
 // plus the ones GitHub code scanning consumes. The struct names follow

@@ -24,33 +24,6 @@ func sampleDiags() []Diagnostic {
 	}
 }
 
-func TestEncodeJSON(t *testing.T) {
-	out, err := EncodeJSON(sampleDiags())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded []JSONDiagnostic
-	if err := json.Unmarshal(out, &decoded); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out)
-	}
-	if len(decoded) != 2 {
-		t.Fatalf("got %d entries, want 2", len(decoded))
-	}
-	if decoded[0].Analyzer != "goroleak" || decoded[0].File != "internal/engine/engine.go" || decoded[0].Line != 321 {
-		t.Errorf("first entry mangled: %+v", decoded[0])
-	}
-}
-
-func TestEncodeJSONEmpty(t *testing.T) {
-	out, err := EncodeJSON(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(string(out)) != "[]" {
-		t.Fatalf("empty diagnostics must encode as [], got %q", out)
-	}
-}
-
 // TestEncodeSARIFValid checks the emitted log against the SARIF 2.1.0
 // schema's required properties (the subset that applies to the shapes
 // we emit): a log requires version and runs; a run requires tool; a

@@ -16,14 +16,16 @@ import (
 // variable, an unseeded declaration — silently breaks byte-identical
 // output. rngflow forbids the shared top-level source anywhere under
 // internal/, and in the solver packages it answers the provenance
-// question: for every *rand.Rand reaching a call site it walks the
-// use-def chains built by internal/analysis/dataflow back to the
-// value's origin and accepts only seeded constructors, parameters,
-// fields and other call results.
+// question with the taint lattice of internal/analysis/dataflow,
+// limited to *rand.Rand values: a package-level generator carries one
+// bit from function entry until an assignment in the body overwrites
+// it, a *rand.Rand declared without a value carries a second, and a
+// receiver or argument at a call site may carry neither. Seeded
+// constructors, parameters, fields and other call results carry none.
 func RNGFlow() *Analyzer {
 	a := &Analyzer{
 		Name: "rngflow",
-		Doc:  "require every *rand.Rand at a call site to derive, via def-use chains, from a seeded or threaded source",
+		Doc:  "require every *rand.Rand at a call site to derive from a seeded or threaded source, not a package-level generator or a declaration without a value",
 	}
 	a.Run = func(pass *Pass) {
 		if isInternal(pass.Pkg.Path) {
@@ -39,13 +41,14 @@ func RNGFlow() *Analyzer {
 		if !matchesAny(pass.Pkg.Path, pass.Cfg.RNGPkgs) {
 			return
 		}
+		shared := packageGenerators(pass)
 		for _, f := range pass.Pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
 				}
-				checkRNGProvenance(pass, fd.Body)
+				checkRNGProvenance(pass, fd.Body, shared)
 			}
 		}
 	}
@@ -76,112 +79,73 @@ func checkTopLevelRand(pass *Pass, sel *ast.SelectorExpr) {
 	}
 }
 
-// checkRNGProvenance traces every *rand.Rand identifier used at a call
-// site in body back through its reaching definitions.
-func checkRNGProvenance(pass *Pass, body *ast.BlockStmt) {
-	info := pass.Pkg.Info
-	g := cfg.New(body)
-	chains := dataflow.NewChains(body, g, info)
+// RNG provenance bits: a package-level generator, and a *rand.Rand
+// declared without a value.
+const (
+	rngShared dataflow.Mask = 1 << iota
+	rngUnset
+)
 
-	seen := map[*ast.Ident]bool{}
-	report := func(id *ast.Ident) {
-		if seen[id] {
-			return
-		}
-		seen[id] = true
-		if reason := traceRNG(pass, chains, id, map[*dataflow.Def]bool{}); reason != "" {
-			pass.Reportf(id.Pos(), "*rand.Rand %q %s", id.Name, reason)
+// packageGenerators seeds every package-level *rand.Rand with the
+// rngShared bit at function entry.
+func packageGenerators(pass *Pass) map[types.Object]dataflow.Mask {
+	scope := pass.Pkg.Types.Scope()
+	shared := map[types.Object]dataflow.Mask{}
+	for _, name := range scope.Names() {
+		if v, ok := scope.Lookup(name).(*types.Var); ok && isRandRand(v.Type()) {
+			shared[v] = rngShared
 		}
 	}
+	return shared
+}
 
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // separate unit: its own graph if ever needed
-		}
-		call, ok := n.(*ast.CallExpr)
+// checkRNGProvenance runs the taint fixpoint over body and reports
+// every *rand.Rand receiver or argument that a package-level generator
+// or an unset declaration may reach. When both may, the declaration is
+// reported.
+func checkRNGProvenance(pass *Pass, body *ast.BlockStmt, shared map[types.Object]dataflow.Mask) {
+	tt := dataflow.NewTaint(body, cfg.New(body), dataflow.TaintConfig{
+		Info:     pass.Pkg.Info,
+		Entry:    shared,
+		ZeroDecl: rngUnset,
+		TypeOK:   isRandRand,
+	})
+	check := func(fact map[types.Object]dataflow.Mask, e ast.Expr) {
+		id, ok := e.(*ast.Ident)
 		if !ok {
+			return
+		}
+		switch m := tt.Mask(fact, id); {
+		case m&rngUnset != 0:
+			pass.Reportf(id.Pos(), "*rand.Rand %q is declared without a source and may be used unseeded (nil); initialize it from rand.New(rand.NewSource(seed))", id.Name)
+		case m&rngShared != 0:
+			pass.Reportf(id.Pos(), "*rand.Rand %q originates from a package-level generator (shared mutable state); thread the seeded *rand.Rand through parameters", id.Name)
+		}
+	}
+	tt.Walk(func(_ *cfg.Block, n ast.Node, fact map[types.Object]dataflow.Mask) {
+		ast.Inspect(n, func(m ast.Node) bool {
+			switch m := m.(type) {
+			case *ast.FuncLit:
+				return false // separate unit: its own graph if ever needed
+			case *ast.CallExpr:
+				// rng.Intn(...): the receiver carries the provenance;
+				// f(..., rng, ...): the argument does.
+				if sel, ok := m.Fun.(*ast.SelectorExpr); ok {
+					check(fact, sel.X)
+				}
+				for _, arg := range m.Args {
+					check(fact, arg)
+				}
+			}
 			return true
-		}
-		// rng.Intn(...): the receiver carries the provenance.
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok && isRandRand(info, id) {
-				report(id)
-			}
-		}
-		// f(..., rng, ...): the argument does.
-		for _, arg := range call.Args {
-			if id, ok := arg.(*ast.Ident); ok && isRandRand(info, id) {
-				report(id)
-			}
-		}
-		return true
+		})
 	})
 }
 
-// traceRNG follows id's reaching definitions to their origins and
-// returns a non-empty reason when any origin is unacceptable. visited
-// breaks cycles through loops (rng = rng reassignments).
-func traceRNG(pass *Pass, chains *dataflow.Chains, id *ast.Ident, visited map[*dataflow.Def]bool) string {
-	defs := chains.DefsOf(id)
-	if len(defs) == 0 {
-		// Not a chained use (e.g. a variable captured by the enclosing
-		// function and written only there): stay quiet rather than
-		// guess.
-		return ""
-	}
-	for _, d := range defs {
-		if visited[d] {
-			continue
-		}
-		visited[d] = true
-		switch d.Kind {
-		case dataflow.DefEntry:
-			// Parameters, receivers and captures are threaded sources;
-			// a package-level generator is shared mutable state.
-			if d.Obj.Parent() == pass.Pkg.Types.Scope() {
-				return "originates from a package-level generator (shared mutable state); thread the seeded *rand.Rand through parameters"
-			}
-		case dataflow.DefDecl:
-			if d.RHS == nil {
-				return "is declared without a source and may be used unseeded (nil); initialize it from rand.New(rand.NewSource(seed))"
-			}
-			if reason := traceRNGExpr(pass, chains, d.RHS, visited); reason != "" {
-				return reason
-			}
-		case dataflow.DefAssign, dataflow.DefRange:
-			if reason := traceRNGExpr(pass, chains, d.RHS, visited); reason != "" {
-				return reason
-			}
-		}
-	}
-	return ""
-}
-
-// traceRNGExpr classifies the defining expression of a *rand.Rand:
-// identifiers recurse through the chains; package-level identifiers
-// are rejected; calls, selectors, indexes and the rest are accepted as
-// threaded or constructed sources.
-func traceRNGExpr(pass *Pass, chains *dataflow.Chains, e ast.Expr, visited map[*dataflow.Def]bool) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		if obj := pass.Pkg.Info.ObjectOf(e); obj != nil && obj.Parent() == pass.Pkg.Types.Scope() {
-			return "originates from a package-level generator (shared mutable state); thread the seeded *rand.Rand through parameters"
-		}
-		return traceRNG(pass, chains, e, visited)
-	case *ast.ParenExpr:
-		return traceRNGExpr(pass, chains, e.X, visited)
-	}
-	return ""
-}
-
-// isRandRand reports whether id is a variable of type *rand.Rand
-// (math/rand or math/rand/v2).
-func isRandRand(info *types.Info, id *ast.Ident) bool {
-	obj, ok := info.Uses[id].(*types.Var)
-	if !ok {
-		return false
-	}
-	ptr, ok := obj.Type().(*types.Pointer)
+// isRandRand reports whether t is *rand.Rand (math/rand or
+// math/rand/v2).
+func isRandRand(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return false
 	}

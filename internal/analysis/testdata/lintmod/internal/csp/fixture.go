@@ -39,6 +39,68 @@ func drawThreaded(rng *rand.Rand, n int) int {
 	return local.Intn(n)
 }
 
+// reseeded is package-level, but drawReseeded overwrites it from a
+// seeded constructor before its use: clean.
+var reseeded *rand.Rand
+
+func drawReseeded(n int) int {
+	reseeded = rand.New(rand.NewSource(3))
+	return reseeded.Intn(n)
+}
+
+// A package-level generator stays one through a local copy and as an
+// argument.
+func drawCopied(n int) int {
+	local := sharedRNG
+	return local.Intn(n) // want rngflow "package-level generator"
+}
+
+func drawPassed(n int) int {
+	return drawThreaded(sharedRNG, n) // want rngflow "package-level generator"
+}
+
+// drawMaybeSeeded seeds on one branch only, so the nil declaration
+// still reaches the use.
+func drawMaybeSeeded(seed int64, n int) int {
+	var rng *rand.Rand
+	if seed != 0 {
+		rng = rand.New(rand.NewSource(seed))
+	}
+	return rng.Intn(n) // want rngflow "may be used unseeded"
+}
+
+// drawAlwaysSeeded assigns on every path before the use: clean.
+func drawAlwaysSeeded(seed int64, n int) int {
+	var rng *rand.Rand
+	if seed != 0 {
+		rng = rand.New(rand.NewSource(seed))
+	} else {
+		rng = rand.New(rand.NewSource(1))
+	}
+	return rng.Intn(n)
+}
+
+// drawMixed may see the nil declaration or the package-level
+// generator; the declaration is reported.
+func drawMixed(shared bool, n int) int {
+	var rng *rand.Rand
+	if shared {
+		rng = sharedRNG
+	}
+	return rng.Intn(n) // want rngflow "may be used unseeded"
+}
+
+type drawState struct{ rng *rand.Rand }
+
+// drawViaCopies reaches its parameter through a parenthesized copy and
+// through a struct field: clean.
+func drawViaCopies(rng *rand.Rand, n int) int {
+	paren := (rng)
+	st := drawState{rng: rng}
+	field := st.rng
+	return paren.Intn(n) + field.Intn(n)
+}
+
 // SolveGood threads a context and seeds its own generator: clean.
 func SolveGood(ctx context.Context, n int) int {
 	if ctx.Err() != nil {

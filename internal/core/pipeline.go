@@ -169,10 +169,7 @@ func SegmentEnv(ctx context.Context, in Input, opts Options, env Env) (*Segmenta
 	if err != nil {
 		return nil, err
 	}
-	stats.WSATRestarts += res.Counters.WSATRestarts
-	stats.WSATFlips += res.Counters.WSATFlips
-	stats.CutRounds += res.Counters.CutRounds
-	stats.EMIters += res.Counters.EMIters
+	stats.Counters.Add(res.Counters)
 	if res.CSP != nil {
 		seg.CSPStatus = res.CSP.Status
 		seg.Relaxed = res.CSP.Relaxed

@@ -1,6 +1,10 @@
 package core
 
-import "time"
+import (
+	"time"
+
+	"tableseg/internal/stage"
+)
 
 // Stats records per-stage instrumentation of one Segment call — the
 // pipeline's observability surface. All fields are measured on the
@@ -8,14 +12,10 @@ import "time"
 type Stats struct {
 	// Stages breaks the call down by pipeline stage, in pipeline order.
 	Stages []StageTiming
-	// WSATRestarts and WSATFlips count the local-search work of every
-	// WSAT run of the task: the CSP segmentation's rungs and the §6.3
-	// column solve (0 for the probabilistic method).
-	WSATRestarts, WSATFlips int
-	// CutRounds counts lazy consecutiveness-repair iterations.
-	CutRounds int
-	// EMIters counts EM iterations (0 for the CSP method).
-	EMIters int
+	// Counters is the solver's effort: WSAT restarts and flips over the
+	// CSP segmentation's rungs and the §6.3 column solve, cut rounds,
+	// and EM iterations (each 0 for the other method).
+	stage.Counters
 }
 
 // StageTiming aggregates the invocations of one pipeline stage within

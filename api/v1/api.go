@@ -97,21 +97,6 @@ func (r *SegmentRequest) Options() (tableseg.Options, error) {
 	return opts, nil
 }
 
-// OptionsKey is the part of the coalescing key contributed by the
-// request's configuration: two requests may share one computation only
-// when both their content hash and their options fingerprint agree.
-// Method spellings are normalized first, so "prob", "probabilistic"
-// and the empty default coalesce together.
-func (r *SegmentRequest) OptionsKey() string {
-	m, err := ParseMethod(r.Method)
-	if err != nil {
-		// Invalid methods never reach the engine; keep their keys
-		// distinct anyway.
-		return "!" + r.Method + "|" + r.Solver
-	}
-	return m.String() + "|" + r.Solver
-}
-
 // ParseMethod maps a wire method name onto the library enum. The empty
 // string selects Probabilistic — the method the daemon's record-major
 // consumers want by default (column labels, reconstructed tables).
@@ -158,8 +143,8 @@ type SegmentResponse struct {
 	CSPStatus        string `json:"cspStatus,omitempty"`
 	AnalyzedExtracts int    `json:"analyzedExtracts"`
 	TotalExtracts    int    `json:"totalExtracts"`
-	// Coalesced is true when this response was served from a shared
-	// in-flight computation rather than a fresh segmentation.
+	// Coalesced is always false: tablesegd runs every request through
+	// its own engine run. It stays so that v1 clients keep decoding.
 	Coalesced bool `json:"coalesced,omitempty"`
 	// Stats carries per-stage timing when the request asked for it.
 	Stats *TaskStats `json:"stats,omitempty"`

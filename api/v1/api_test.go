@@ -48,22 +48,6 @@ func TestRequestOptions(t *testing.T) {
 	}
 }
 
-// TestOptionsKeyNormalizesMethod: spellings of one method coalesce.
-func TestOptionsKeyNormalizesMethod(t *testing.T) {
-	a := (&apiv1.SegmentRequest{Method: "prob"}).OptionsKey()
-	b := (&apiv1.SegmentRequest{Method: "probabilistic"}).OptionsKey()
-	c := (&apiv1.SegmentRequest{}).OptionsKey()
-	if a != b || b != c {
-		t.Errorf("probabilistic spellings got distinct keys: %q %q %q", a, b, c)
-	}
-	if a == (&apiv1.SegmentRequest{Method: "csp"}).OptionsKey() {
-		t.Error("csp and probabilistic share an options key")
-	}
-	if a == (&apiv1.SegmentRequest{Solver: "exact"}).OptionsKey() {
-		t.Error("solver override did not change the options key")
-	}
-}
-
 // TestErrorCodeRoundTrip: library error -> wire code -> sentinel
 // restores errors.Is classification, and each code maps to a stable
 // HTTP status.

@@ -14,13 +14,15 @@ type Metrics struct {
 	QueueDepth int64 `json:"queueDepth"`
 	// Requests breaks down every POST /v1/segment seen.
 	Requests RequestCounters `json:"requests"`
-	// Coalesce reports content-hash request coalescing: hits joined an
-	// in-flight identical computation, misses led one.
+	// Coalesce always reads zeros: tablesegd runs every request
+	// through its own engine run. It stays so that v1 clients keep
+	// decoding.
 	Coalesce CoalesceCounters `json:"coalesce"`
 	// Engine reports the shared engine's artifact caches.
 	Engine EngineCounters `json:"engine"`
-	// Stages are per-pipeline-stage latency histograms fed by the
-	// engine's observer hook, in pipeline order.
+	// Stages are per-pipeline-stage latency histograms, in pipeline
+	// order, folded from each completed task's per-stage stats (the
+	// stages a response's stats report when the request asks).
 	Stages []StageHistogram `json:"stages,omitempty"`
 }
 
@@ -37,12 +39,12 @@ type RequestCounters struct {
 	ByCode map[string]int64 `json:"byCode,omitempty"`
 }
 
-// CoalesceCounters reports request coalescing outcomes.
+// CoalesceCounters is the shape of Metrics.Coalesce, kept for v1
+// clients; every field reads 0, since tablesegd does not coalesce
+// requests.
 type CoalesceCounters struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// InFlightKeys is the current size of the coalescing map (0 when
-	// idle — entries never outlive their computation).
+	Hits         int64 `json:"hits"`
+	Misses       int64 `json:"misses"`
 	InFlightKeys int64 `json:"inFlightKeys"`
 }
 
@@ -85,9 +87,11 @@ type CacheTier struct {
 }
 
 // StageHistogram is one stage's latency distribution. Bounds are fixed
-// per server; Counts[i] tallies observations with latency <=
+// per server; Counts[i] tallies stage calls with latency <=
 // BoundsMillis[i], non-cumulatively between bounds, and Overflow
-// tallies the rest.
+// tallies the rest. Count and TotalMillis sum the calls and wall time
+// of every task's stage; a stage called more than once in a task
+// counts each call at the mean of that task's calls.
 type StageHistogram struct {
 	Stage        string    `json:"stage"`
 	Count        int64     `json:"count"`

@@ -58,7 +58,7 @@ func BenchmarkTable2Assignment(b *testing.B) {
 	ex := benchExample(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _ := csp.SolveSegmentationContext(context.Background(), ex.Input, csp.SolveParams{ExactCheck: true})
+		res, _ := csp.SolveSegmentationContext(context.Background(), ex.Input, csp.SolveParams{})
 		if res.Status != csp.Solved {
 			b.Fatalf("status %v", res.Status)
 		}
@@ -331,7 +331,7 @@ func BenchmarkExactSolver(b *testing.B) {
 	enc := csp.Encode(ex.Input, csp.Strict)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, sat, err := csp.SolveExact(context.Background(), enc.Problem, csp.ExactParams{}); err != nil || !sat {
+		if _, sat, err := csp.SolveExact(context.Background(), enc.Problem); err != nil || !sat {
 			b.Fatalf("sat=%v err=%v", sat, err)
 		}
 	}

@@ -3,9 +3,10 @@
 //	tablesegd -addr :8844 -workers 4
 //
 // It exposes the api/v1 wire surface (POST /v1/segment) on top of the
-// concurrent engine, with request coalescing (identical concurrent
-// submissions share one computation), bounded admission (429 +
-// Retry-After beyond the queue), optional per-client rate limiting,
+// concurrent engine, one engine run per request (identical concurrent
+// requests share only the engine's tokenization and template
+// induction), bounded admission (429 + Retry-After beyond the queue),
+// optional per-client rate limiting,
 // /healthz and /varz, and graceful drain on SIGTERM/SIGINT: in-flight
 // segmentations complete, queued-but-unadmitted requests get 503, and
 // the process exits once the last response is written (or the drain
@@ -16,8 +17,9 @@
 // Reading a request is bounded: its header must arrive within 10 s and
 // the whole request within 90 s, enough for the largest body the
 // server accepts (64 MiB) sent at about 1 MB/s. A client that declares
-// a body and stalls gets a response or a closed connection at that
-// bound instead of holding a handler, its body buffer and the drain.
+// a body and stalls gets 400 bad_request, carrying the read error, at
+// that bound instead of holding a handler, its body buffer and the
+// drain.
 package main
 
 import (

@@ -65,10 +65,7 @@ func SegmentEnv(ctx context.Context, in Input, opts Options, env Env) (*Segmenta
 	if stats == nil {
 		stats = &Stats{} // discarded collector; keeps the hot path branch-free
 	}
-	var obs stage.Observer = &statsObserver{stats: stats}
-	if env.Observer != nil {
-		obs = stage.MultiObserver{obs, env.Observer}
-	}
+	obs := &statsObserver{stats: stats, next: env.Observer}
 	solverName, solver, err := newSolver(opts)
 	if err != nil {
 		return nil, err

@@ -44,13 +44,22 @@ func (s *Stats) AddStage(name string, d time.Duration) {
 }
 
 // statsObserver folds stage.Observer callbacks into a Stats' per-stage
-// breakdown.
+// breakdown and forwards each callback to next, the caller's observer,
+// when one is set.
 type statsObserver struct {
 	stats *Stats
+	next  stage.Observer
 }
 
-func (o *statsObserver) OnStageStart(name string) {}
+func (o *statsObserver) OnStageStart(name string) {
+	if o.next != nil {
+		o.next.OnStageStart(name)
+	}
+}
 
 func (o *statsObserver) OnStageEnd(name string, d time.Duration, err error) {
 	o.stats.AddStage(name, d)
+	if o.next != nil {
+		o.next.OnStageEnd(name, d, err)
+	}
 }

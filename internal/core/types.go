@@ -104,7 +104,6 @@ func DefaultOptions(m Method) Options {
 	return Options{
 		Method:         m,
 		MinSlotQuality: 0.5,
-		CSPParams:      csp.SolveParams{ExactCheck: true},
 		CSPColumns:     true,
 		MineLabels:     true,
 		PHMMParams:     phmm.DefaultParams(),

@@ -279,7 +279,7 @@ func table4ColumnInputs(t testing.TB, seed int64) []columnInput {
 			p := stage.BuildProblem(m)
 			seg, err := SolveSegmentationContext(ctx, SegmentInput{
 				NumRecords: p.NumRecords, Candidates: p.Candidates, PositionGroups: p.PositionGroups,
-			}, SolveParams{ExactCheck: true})
+			}, SolveParams{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -295,8 +295,8 @@ type SegmentResult struct {
 	Flips, Restarts int
 }
 
-// exactVarLimit is the largest instance, in variables, that
-// SolveParams.ExactCheck hands to the exact solver.
+// exactVarLimit is the largest instance, in variables, on which a rung
+// whose WSAT search found nothing runs the exact solver.
 const exactVarLimit = 120
 
 // SolveParams configures SolveSegmentation.
@@ -307,9 +307,6 @@ type SolveParams struct {
 	// solution has contiguity holes simply fails — the static-only
 	// ablation of DESIGN.md).
 	MaxCutRounds int
-	// ExactCheck enables UNSAT certification with the exact solver
-	// before relaxing, for instances up to exactVarLimit variables.
-	ExactCheck bool
 	// NoRelax disables the relaxation ladder: if the strict encoding
 	// is unsatisfiable the solve fails outright (the relaxation
 	// ablation of DESIGN.md; the paper's §6.3 argues the ladder is
@@ -370,7 +367,7 @@ func SolveSegmentationContext(ctx context.Context, in SegmentInput, params Solve
 // complete search, so a Failed status means the strict encoding is
 // unsatisfiable or its repair ran out of cut rounds, never that a
 // search gave up. It never relaxes (Relaxed stays false), ignores
-// WSAT, ExactCheck and NoRelax, and returns ErrSearchLimit when the
+// WSAT and NoRelax, and returns ErrSearchLimit when the
 // search's node budget runs out, since satisfiability is then unknown.
 func SolveSegmentationExact(ctx context.Context, in SegmentInput, params SolveParams) (*SegmentResult, error) {
 	res, ok, err := trySolve(ctx, in, Strict, params.withDefaults(), searchExact)
@@ -400,10 +397,10 @@ type rungSearch func(ctx context.Context, p *Problem, params SolveParams) (*Solu
 // on a small enough problem, the exact solver decides.
 func searchWSAT(ctx context.Context, p *Problem, params SolveParams) (*Solution, error) {
 	sol, err := SolveWSATContext(ctx, p, params.WSAT)
-	if err != nil || sol.Feasible || !params.ExactCheck || p.NumVars() > exactVarLimit {
+	if err != nil || sol.Feasible || p.NumVars() > exactVarLimit {
 		return sol, err
 	}
-	exact, sat, err := SolveExact(ctx, p, ExactParams{})
+	exact, sat, err := SolveExact(ctx, p)
 	switch {
 	case err == nil && sat:
 		return &Solution{Assign: exact, Feasible: true, Flips: sol.Flips, Restarts: sol.Restarts}, nil
@@ -416,7 +413,7 @@ func searchWSAT(ctx context.Context, p *Problem, params SolveParams) (*Solution,
 // searchExact is the complete rung: a failure is a proof, and a search
 // that runs out of nodes is an error.
 func searchExact(ctx context.Context, p *Problem, _ SolveParams) (*Solution, error) {
-	assign, sat, err := SolveExact(ctx, p, ExactParams{})
+	assign, sat, err := SolveExact(ctx, p)
 	if err != nil {
 		return nil, err
 	}

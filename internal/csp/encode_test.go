@@ -65,7 +65,7 @@ func TestEncodeSuperpagesStructure(t *testing.T) {
 func TestSolveSuperpagesReproducesTable2(t *testing.T) {
 	in := superpagesInput()
 	for seed := int64(0); seed < 3; seed++ {
-		res := solveSegmentation(in, SolveParams{WSAT: WSATParams{Seed: seed}, ExactCheck: true})
+		res := solveSegmentation(in, SolveParams{WSAT: WSATParams{Seed: seed}})
 		if res.Status != Solved {
 			t.Fatalf("seed %d: status %v", seed, res.Status)
 		}
@@ -83,7 +83,7 @@ func TestSolveWithoutPositionConstraints(t *testing.T) {
 	// Table 2 segmentation (the paper argues this in §3.3).
 	in := superpagesInput()
 	in.PositionGroups = nil
-	res := solveSegmentation(in, SolveParams{WSAT: WSATParams{Seed: 5}, ExactCheck: true})
+	res := solveSegmentation(in, SolveParams{WSAT: WSATParams{Seed: 5}})
 	if res.Status != Solved {
 		t.Fatalf("status %v", res.Status)
 	}
@@ -108,7 +108,7 @@ func TestSolveDirtyDataRelaxes(t *testing.T) {
 			{2}, {0}, {2}, // record 2: middle field polluted → claims r0
 		},
 	}
-	res := solveSegmentation(in, SolveParams{WSAT: WSATParams{Seed: 1}, ExactCheck: true})
+	res := solveSegmentation(in, SolveParams{WSAT: WSATParams{Seed: 1}})
 	if res.Status != SolvedRelaxed {
 		t.Fatalf("status = %v, want SolvedRelaxed", res.Status)
 	}
@@ -117,7 +117,7 @@ func TestSolveDirtyDataRelaxes(t *testing.T) {
 	}
 	// Without the ladder the same instance fails, and the relaxed rung
 	// never ran.
-	if res := solveSegmentation(in, SolveParams{WSAT: WSATParams{Seed: 1}, ExactCheck: true, NoRelax: true}); res.Status != Failed || res.Relaxed {
+	if res := solveSegmentation(in, SolveParams{WSAT: WSATParams{Seed: 1}, NoRelax: true}); res.Status != Failed || res.Relaxed {
 		t.Errorf("NoRelax: status = %v, relaxed = %v, want failed, false", res.Status, res.Relaxed)
 	}
 	// The polluted extract must be left unassigned; the clean ones
@@ -152,7 +152,7 @@ func TestSolveUniquenessInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 25; trial++ {
 		in := randomCleanInstance(rng)
-		res := solveSegmentation(in, SolveParams{WSAT: WSATParams{Seed: int64(trial)}, ExactCheck: true})
+		res := solveSegmentation(in, SolveParams{WSAT: WSATParams{Seed: int64(trial)}})
 		if res.Status == Failed {
 			t.Fatalf("trial %d: failed on clean instance", trial)
 		}

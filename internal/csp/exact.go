@@ -11,29 +11,22 @@ import (
 // unknown.
 var ErrSearchLimit = errors.New("csp: exact search node limit exceeded")
 
-// ExactParams tunes the exact solver.
-type ExactParams struct {
-	// MaxNodes bounds the number of search nodes explored; 0 selects a
-	// default of 2,000,000.
-	MaxNodes int
-}
+// exactMaxNodes bounds the search nodes SolveExact explores.
+const exactMaxNodes = 2_000_000
 
 // SolveExact performs a complete depth-first search with bounds
 // propagation over the hard constraints. It returns (assignment, true,
 // nil) for a satisfying assignment of the hard constraints, (nil, false,
-// nil) when provably unsatisfiable, or an ErrSearchLimit error when the
-// node budget ran out. The assignment is the first feasible one the
-// search reaches, not one of least soft penalty: SolveExact sets no
-// bound on the soft penalty, so soft constraints never prune its
-// search (SolveWSATContext runs the same search with a bound to end
-// its restarts early). Cancellation is polled every few thousand
+// nil) when provably unsatisfiable, or an ErrSearchLimit error when its
+// budget of 2,000,000 search nodes ran out. The assignment is the first
+// feasible one the search reaches, not one of least soft penalty:
+// SolveExact sets no bound on the soft penalty, so soft constraints
+// never prune its search (SolveWSATContext runs the same search with a
+// bound to end its restarts early). Cancellation is polled every few thousand
 // search nodes and surfaces as ctx.Err(); an uncancelled run explores
 // exactly the same node sequence regardless of deadline.
-func SolveExact(ctx context.Context, p *Problem, params ExactParams) ([]bool, bool, error) {
-	if params.MaxNodes == 0 {
-		params.MaxNodes = 2_000_000
-	}
-	return solveExactBelow(ctx, p, params.MaxNodes, noBound)
+func SolveExact(ctx context.Context, p *Problem) ([]bool, bool, error) {
+	return solveExactBelow(ctx, p, exactMaxNodes, noBound)
 }
 
 // solveExactBelow searches within maxNodes nodes for an assignment

@@ -28,8 +28,8 @@ func solveSegmentation(in SegmentInput, params SolveParams) *SegmentResult {
 	return res
 }
 
-func solveExact(p *Problem, params ExactParams) ([]bool, bool, error) {
-	return SolveExact(context.Background(), p, params)
+func solveExact(p *Problem) ([]bool, bool, error) {
+	return SolveExact(context.Background(), p)
 }
 
 func assignColumns(t *testing.T, records []int, types []token.Type, params WSATParams) []int {

@@ -1,6 +1,7 @@
 package csp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -115,7 +116,7 @@ func TestExactSolvesAndCertifiesUNSAT(t *testing.T) {
 	a, b, c := p.AddVar(), p.AddVar(), p.AddVar()
 	p.AddHard([]Term{{1, a}, {1, b}, {1, c}}, EQ, 2, "")
 	p.AddHard([]Term{{1, a}, {1, b}}, LE, 1, "")
-	assign, sat, err := solveExact(p, ExactParams{})
+	assign, sat, err := solveExact(p)
 	if err != nil || !sat {
 		t.Fatalf("sat=%v err=%v", sat, err)
 	}
@@ -131,7 +132,7 @@ func TestExactSolvesAndCertifiesUNSAT(t *testing.T) {
 	x, y := q.AddVar(), q.AddVar()
 	q.AddHard([]Term{{1, x}, {1, y}}, GE, 2, "")
 	q.AddHard([]Term{{1, x}, {1, y}}, LE, 1, "")
-	_, sat, err = solveExact(q, ExactParams{})
+	_, sat, err = solveExact(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestExactAgreesWithBruteForce(t *testing.T) {
 			p.AddHard(terms, Op(rng.Intn(3)), rhs, "")
 		}
 		_, wantSat := bruteForce(p)
-		got, gotSat, err := solveExact(p, ExactParams{})
+		got, gotSat, err := solveExact(p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -224,7 +225,8 @@ func TestWSATFeasibilityIsSound(t *testing.T) {
 
 func TestExactNodeLimit(t *testing.T) {
 	// A hard pigeonhole-style instance with a 1-node budget must report
-	// the limit error rather than a wrong answer.
+	// the limit error rather than a wrong answer. SolveExact's budget is
+	// fixed, so the test sets one through the search it wraps.
 	p := NewProblem()
 	var vars []int
 	for i := 0; i < 12; i++ {
@@ -235,7 +237,7 @@ func TestExactNodeLimit(t *testing.T) {
 		terms[i] = Term{1, v}
 	}
 	p.AddHard(terms, EQ, 6, "")
-	_, _, err := solveExact(p, ExactParams{MaxNodes: 1})
+	_, _, err := solveExactBelow(context.Background(), p, 1, noBound)
 	if err != ErrSearchLimit {
 		t.Errorf("err = %v, want ErrSearchLimit", err)
 	}

@@ -29,7 +29,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"hash"
 	"runtime"
@@ -57,10 +56,11 @@ type Config struct {
 	Concurrency int
 	// Observer, when non-nil, receives a callback at every pipeline
 	// stage boundary of every task, in addition to the per-task Stats
-	// collection — the seam a server uses to feed latency histograms
-	// without forking the engine. Tasks run concurrently, so the
-	// observer must be safe for concurrent use; callbacks carry only
-	// diagnostics and never influence segmentation output.
+	// collection — the seam an embedder, such as a tracer recording
+	// stage spans, uses without forking the engine. Tasks run
+	// concurrently, so the observer must be safe for concurrent use;
+	// callbacks carry only diagnostics and never influence segmentation
+	// output.
 	Observer stage.Observer
 	// Store, when non-nil, replaces the engine-built artifact store,
 	// through which every task's tokens, template and result pass. Most
@@ -452,20 +452,6 @@ func templateKey(lists [][sha256.Size]byte) artifact.Key {
 	k := artifact.Key{Kind: artifact.KindTemplate, Version: stage.CodecVersion}
 	h.Sum(k.Hash[:0])
 	return k
-}
-
-// InputKey returns the hex content hash of a whole segmentation input
-// — sample list pages in order, the target index, and the detail pages
-// in order. Two inputs share a key exactly when the engine would
-// compute byte-identical segmentations for them under equal options,
-// which makes the key the natural unit for request coalescing in a
-// server — concurrent identical submissions can share one computation.
-// It hashes each page's SHA-256 digest rather than the page itself, as
-// the engine's own keys do; the result journal keys on the same hash
-// combined with an options fingerprint.
-func InputKey(in core.Input) string {
-	sum := digestInput(in).inputHash(in.Target)
-	return hex.EncodeToString(sum[:])
 }
 
 // Run executes one task end to end on the calling goroutine and

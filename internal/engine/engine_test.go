@@ -513,47 +513,3 @@ func (o observerFunc) OnStageEnd(name string, d time.Duration, err error) {
 		o.onEnd(name, d, err)
 	}
 }
-
-// TestEngineInputKey pins the coalescing key: identical content shares
-// a key regardless of page names; any content, target or detail change
-// separates keys, including a byte moving from one page to the next.
-func TestEngineInputKey(t *testing.T) {
-	in := siteInput(t, "allegheny", 0)
-	same := siteInput(t, "allegheny", 0)
-	for i := range same.ListPages {
-		same.ListPages[i].Name = fmt.Sprintf("renamed-%d", i)
-	}
-	if engine.InputKey(in) != engine.InputKey(same) {
-		t.Error("renaming pages changed the input key")
-	}
-	other := siteInput(t, "allegheny", 1)
-	if engine.InputKey(in) == engine.InputKey(other) {
-		t.Error("different target pages share an input key")
-	}
-	mutated := siteInput(t, "allegheny", 0)
-	mutated.DetailPages[0].HTML += " "
-	if engine.InputKey(in) == engine.InputKey(mutated) {
-		t.Error("detail-page edit did not change the input key")
-	}
-	retargeted := siteInput(t, "allegheny", 0)
-	retargeted.Target = 1
-	if engine.InputKey(in) == engine.InputKey(retargeted) {
-		t.Error("changing only the target did not change the input key")
-	}
-	// Moving the last byte of one page to the front of the next keeps
-	// the concatenated bytes but must change the key.
-	moveByte := func(pages []core.Page, i int) {
-		a := pages[i].HTML
-		pages[i].HTML, pages[i+1].HTML = a[:len(a)-1], a[len(a)-1:]+pages[i+1].HTML
-	}
-	lists := siteInput(t, "allegheny", 0)
-	moveByte(lists.ListPages, 0)
-	if engine.InputKey(in) == engine.InputKey(lists) {
-		t.Error("a byte moved between list pages did not change the input key")
-	}
-	details := siteInput(t, "allegheny", 0)
-	moveByte(details.DetailPages, 0)
-	if engine.InputKey(in) == engine.InputKey(details) {
-		t.Error("a byte moved between detail pages did not change the input key")
-	}
-}

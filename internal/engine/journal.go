@@ -22,10 +22,10 @@ const resultEnvelopeVersion = 1
 const resultVersion = uint16(stage.CodecVersion)<<8 | resultEnvelopeVersion
 
 // resultKey addresses a task's journaled result by the content hash of
-// its whole input (the hash InputKey renders in hex) plus a fingerprint
-// of the effective options: two tasks share a journal entry exactly
-// when the engine is guaranteed to compute byte-identical segmentations
-// for them.
+// its whole input (pageDigests.inputHash) plus a fingerprint of the
+// effective options: two tasks share a journal entry exactly when the
+// engine is guaranteed to compute byte-identical segmentations for
+// them.
 func resultKey(inputHash [sha256.Size]byte, opts core.Options) artifact.Key {
 	h := sha256.New()
 	h.Write(inputHash[:])

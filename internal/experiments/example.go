@@ -61,7 +61,7 @@ func RunExample(ctx context.Context) (*Example, error) {
 	for ai, oi := range ex.Analyzed {
 		ex.Input.Candidates[ai] = ex.Observations[oi].Pages
 	}
-	res, err := csp.SolveSegmentationContext(ctx, ex.Input, csp.SolveParams{ExactCheck: true})
+	res, err := csp.SolveSegmentationContext(ctx, ex.Input, csp.SolveParams{})
 	if err != nil {
 		return nil, err
 	}

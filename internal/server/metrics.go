@@ -7,6 +7,7 @@ import (
 	"time"
 
 	apiv1 "tableseg/api/v1"
+	"tableseg/internal/core"
 	"tableseg/internal/stage"
 )
 
@@ -18,19 +19,18 @@ type metrics struct {
 		total, ok                             atomic.Int64
 		rateLimited, queueFull, drainRejected atomic.Int64
 	}
-	coalesceHits, coalesceMisses atomic.Int64
-	tasksCompleted               atomic.Int64
+	tasksCompleted atomic.Int64
 
 	codeMu sync.Mutex
 	byCode map[string]int64
 
-	stages *stageObserver
+	stages *stageHistograms
 }
 
 func newMetrics() *metrics {
 	return &metrics{
 		byCode: make(map[string]int64),
-		stages: newStageObserver(),
+		stages: newStageHistograms(),
 	}
 }
 
@@ -50,10 +50,6 @@ func (m *metrics) snapshot() *apiv1.Metrics {
 			RateLimited:   m.requests.rateLimited.Load(),
 			QueueFull:     m.requests.queueFull.Load(),
 			DrainRejected: m.requests.drainRejected.Load(),
-		},
-		Coalesce: apiv1.CoalesceCounters{
-			Hits:   m.coalesceHits.Load(),
-			Misses: m.coalesceMisses.Load(),
 		},
 		Engine: apiv1.EngineCounters{
 			TasksCompleted: m.tasksCompleted.Load(),
@@ -75,11 +71,10 @@ func (m *metrics) snapshot() *apiv1.Metrics {
 // /varz stage histograms.
 var histBoundsMillis = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
-// stageObserver aggregates per-stage latency histograms. It implements
-// stage.Observer and is installed into the engine's observer chain, so
-// every pipeline stage of every task feeds it; OnStageEnd may be
-// called from many worker goroutines at once.
-type stageObserver struct {
+// stageHistograms aggregates per-stage latency histograms from the
+// per-stage timings each task returns in its stats; add may be called
+// from many handler goroutines at once.
+type stageHistograms struct {
 	mu sync.Mutex
 	m  map[string]*stageHist
 }
@@ -91,35 +86,38 @@ type stageHist struct {
 	overflow int64
 }
 
-func newStageObserver() *stageObserver {
-	return &stageObserver{m: make(map[string]*stageHist)}
+func newStageHistograms() *stageHistograms {
+	return &stageHistograms{m: make(map[string]*stageHist)}
 }
 
-func (o *stageObserver) OnStageStart(name string) {}
-
-func (o *stageObserver) OnStageEnd(name string, dur time.Duration, err error) {
+// add folds one task's stage timings into the histograms. A stage
+// called several times in the task (the coverage retry re-runs Extract
+// and Observe) adds each call to the bucket of the stage's mean
+// duration, since the task keeps only the total.
+func (o *stageHistograms) add(stages []core.StageTiming) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	h := o.m[name]
-	if h == nil {
-		h = &stageHist{buckets: make([]int64, len(histBoundsMillis))}
-		o.m[name] = h
-	}
-	h.count++
-	h.total += dur
-	ms := float64(dur.Microseconds()) / 1e3
-	for i, bound := range histBoundsMillis {
-		if ms <= bound {
-			h.buckets[i]++
-			return
+	for _, st := range stages {
+		h := o.m[st.Name]
+		if h == nil {
+			h = &stageHist{buckets: make([]int64, len(histBoundsMillis))}
+			o.m[st.Name] = h
+		}
+		calls := int64(st.Calls)
+		h.count += calls
+		h.total += st.Duration
+		mean := float64((st.Duration / time.Duration(calls)).Microseconds()) / 1e3
+		if i := sort.SearchFloat64s(histBoundsMillis, mean); i < len(h.buckets) {
+			h.buckets[i] += calls
+		} else {
+			h.overflow += calls
 		}
 	}
-	h.overflow++
 }
 
 // snapshot renders the histograms in pipeline order (canonical stages
 // first, any others sorted after), so /varz output is deterministic.
-func (o *stageObserver) snapshot() []apiv1.StageHistogram {
+func (o *stageHistograms) snapshot() []apiv1.StageHistogram {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if len(o.m) == 0 {

@@ -1,11 +1,13 @@
 // Package server implements tablesegd's HTTP daemon over the
 // concurrent segmentation engine: the versioned api/v1 wire surface,
-// request coalescing keyed on the engine's input content hash,
 // admission control (one semaphore as wide as the engine's worker count
 // plus a bounded wait queue, rejections as 429 + Retry-After),
 // per-client token-bucket rate limiting, per-request deadline
 // propagation into the pipeline, /healthz and /varz operational
-// endpoints, and graceful drain.
+// endpoints, and graceful drain. Each admitted request runs one
+// Engine.Run; identical concurrent requests share only the engine's
+// artifact computations (tokenization, template induction), and /varz
+// stage histograms are folded from each task's own stats.
 //
 // The package is a deliberate showcase for the repository's own
 // concurrency analyzers: every goroutine has a provable exit, no lock
@@ -30,7 +32,6 @@ import (
 	"tableseg/internal/clock"
 	"tableseg/internal/core"
 	"tableseg/internal/engine"
-	"tableseg/internal/stage"
 )
 
 // retryAfterSeconds is the backoff hint attached to 429 rejections.
@@ -50,8 +51,8 @@ const maxBodyPrealloc = 1 << 20
 type Config struct {
 	// Engine configures the shared segmentation engine (caches, default
 	// options). Its Concurrency also bounds the segmentations the server
-	// admits at once. An Observer set here is preserved and chained
-	// after the server's own metrics observer.
+	// admits at once. The server passes it to engine.New unchanged, so
+	// an Observer set here sees every stage of every request.
 	Engine engine.Config
 	// MaxQueue bounds requests waiting for admission; arrivals beyond
 	// it are rejected with 429 + Retry-After. Zero selects four times
@@ -91,7 +92,6 @@ type Server struct {
 	drainCh  chan struct{}
 	handlers sync.WaitGroup
 
-	flights *flightGroup
 	limiter *limiter
 	metrics *metrics
 }
@@ -99,14 +99,6 @@ type Server struct {
 // New builds a Server and its engine after validating the
 // configuration.
 func New(cfg Config) (*Server, error) {
-	m := newMetrics()
-	// Chain the server's histogram observer before any caller-supplied
-	// one, preserving the Config.Observer seam for embedders.
-	if cfg.Engine.Observer != nil {
-		cfg.Engine.Observer = stage.MultiObserver{m.stages, cfg.Engine.Observer}
-	} else {
-		cfg.Engine.Observer = m.stages
-	}
 	eng, err := engine.New(cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -120,9 +112,8 @@ func New(cfg Config) (*Server, error) {
 		start:   clock.Now(),
 		sem:     make(chan struct{}, eng.Concurrency()),
 		drainCh: make(chan struct{}),
-		flights: newFlightGroup(),
 		limiter: newLimiter(cfg.RatePerSec, cfg.Burst),
-		metrics: m,
+		metrics: newMetrics(),
 	}, nil
 }
 
@@ -229,7 +220,6 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, apiv1.FromError(err), nil)
 		return
 	}
-	in := req.Input()
 
 	ctx := r.Context()
 	if d := s.effectiveTimeout(req.TimeoutMillis); d > 0 {
@@ -237,137 +227,75 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-
-	key := engine.InputKey(in) + "|" + req.OptionsKey()
-	for {
-		f, leader := s.flights.join(key)
-		if leader {
-			s.flights.complete(key, f, s.compute(ctx, in, opts))
-			s.metrics.coalesceMisses.Add(1)
-		} else {
-			s.metrics.coalesceHits.Add(1)
-		}
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			// This waiter's own deadline died while sharing another
-			// request's computation; the flight itself keeps running for
-			// the remaining waiters.
-			s.writeError(w, apiv1.FromError(ctx.Err()), nil)
-			return
-		}
-		if !leader && f.out.interrupted() && ctx.Err() == nil {
-			// The leader's deadline or hang-up ended the shared
-			// computation, not this request's: join again, leading a
-			// fresh flight when none is in flight.
-			continue
-		}
-		s.respond(w, f.out, !leader, req.WantStats)
+	res, werr := s.compute(ctx, req.Input(), opts)
+	if werr != nil {
+		s.writeError(w, werr, nil)
 		return
 	}
+	var stats *apiv1.TaskStats
+	if req.WantStats {
+		stats = apiv1.TaskStatsFromEngine(res.Stats)
+	}
+	if res.Err != nil {
+		var partial *apiv1.SegmentResponse
+		if res.Seg != nil {
+			// Typed diagnostic failures attach a partial segmentation;
+			// surface its counters to the client.
+			partial = apiv1.ResponseFromSegmentation(res.Seg, stats)
+		}
+		s.writeError(w, apiv1.FromError(res.Err), partial)
+		return
+	}
+	s.metrics.requests.ok.Add(1)
+	s.writeJSON(w, http.StatusOK, apiv1.ResponseFromSegmentation(res.Seg, stats))
 }
 
 // decodeRequest reads a request body, whose declared length is
 // declared (-1 when unknown), into one buffer and decodes it with
-// apiv1.DecodeSegmentRequest. When the read fails, encoding/json
-// decodes the bytes that arrived followed by the read error, which is
-// the stream it would have decoded reading the body itself, so the
-// value and the message are the same.
+// apiv1.DecodeSegmentRequest. A failed read fails the request with the
+// read error, whatever arrived before it: a body cut short or over the
+// size cap is not the request the client sent.
 func decodeRequest(r io.Reader, declared int64, req *apiv1.SegmentRequest) error {
 	size := min(max(declared, 0), maxBodyPrealloc)
 	// bytes.MinRead to spare, so the read that reports the end needs no
 	// growth.
 	body := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
 	if _, err := body.ReadFrom(r); err != nil {
-		return json.NewDecoder(io.MultiReader(body, errReader{err})).Decode(req)
+		return err
 	}
 	return apiv1.DecodeSegmentRequest(body.Bytes(), req)
 }
 
-// errReader is a reader that fails with err.
-type errReader struct{ err error }
-
-func (e errReader) Read([]byte) (int, error) { return 0, e.err }
-
-// respond writes one request's view of a flight's outcome. Waiters
-// share the outcome, so each gets a shallow copy of the response that
-// carries its own Coalesced flag and, only when it asked, the task's
-// stats.
-func (s *Server) respond(w http.ResponseWriter, out outcome, coalesced, wantStats bool) {
-	if out.werr != nil {
-		partial := out.partial
-		if partial != nil && wantStats {
-			p := *partial
-			p.Stats = apiv1.TaskStatsFromEngine(out.stats)
-			partial = &p
-		}
-		s.writeError(w, out.werr, partial)
-		return
-	}
-	resp := *out.resp
-	resp.Coalesced = coalesced
-	if wantStats {
-		resp.Stats = apiv1.TaskStatsFromEngine(out.stats)
-	}
-	s.metrics.requests.ok.Add(1)
-	s.writeJSON(w, http.StatusOK, &resp)
-}
-
-// outcome is one flight's terminal state: a response or a wire error
-// (with optional partial diagnostics), plus the task's stats, which
-// each waiter converts only if it asked for them.
-type outcome struct {
-	resp    *apiv1.SegmentResponse
-	werr    *apiv1.Error
-	partial *apiv1.SegmentResponse
-	stats   engine.TaskStats
-}
-
-// interrupted reports whether a context ending, rather than the input,
-// stopped the computation.
-func (o outcome) interrupted() bool {
-	return o.werr != nil && (o.werr.Code == apiv1.CodeCanceled || o.werr.Code == apiv1.CodeDeadlineExceeded)
-}
-
-// compute runs one segmentation end to end: admission (bounded queue,
-// drain release), the engine call under the caller's deadline while
-// holding a semaphore token, and wire conversion of the result.
-func (s *Server) compute(ctx context.Context, in core.Input, opts core.Options) outcome {
+// compute runs one segmentation: admission (bounded queue, drain
+// release), then the engine call under the caller's deadline while
+// holding a semaphore token. It returns the engine's result, or the
+// wire error of a request that was never admitted.
+func (s *Server) compute(ctx context.Context, in core.Input, opts core.Options) (engine.Result, *apiv1.Error) {
 	if s.queued.Add(1) > int64(s.cfg.MaxQueue) {
 		s.queued.Add(-1)
 		s.metrics.requests.queueFull.Add(1)
-		return outcome{werr: &apiv1.Error{
+		return engine.Result{}, &apiv1.Error{
 			Code:              apiv1.CodeQueueFull,
 			Message:           fmt.Sprintf("admission queue full (%d waiting)", s.cfg.MaxQueue),
 			RetryAfterSeconds: retryAfterSeconds,
-		}}
+		}
 	}
 	select {
 	case s.sem <- struct{}{}:
 		s.queued.Add(-1)
 	case <-ctx.Done():
 		s.queued.Add(-1)
-		return outcome{werr: apiv1.FromError(ctx.Err())}
+		return engine.Result{}, apiv1.FromError(ctx.Err())
 	case <-s.drainCh:
 		s.queued.Add(-1)
 		s.metrics.requests.drainRejected.Add(1)
-		return outcome{werr: &apiv1.Error{Code: apiv1.CodeDraining, Message: "server is draining"}}
+		return engine.Result{}, &apiv1.Error{Code: apiv1.CodeDraining, Message: "server is draining"}
 	}
 	res := s.eng.Run(ctx, engine.Task{Input: in, Options: &opts})
 	<-s.sem
 	s.metrics.tasksCompleted.Add(1)
-	out := outcome{stats: res.Stats}
-	if res.Err != nil {
-		out.werr = apiv1.FromError(res.Err)
-		if res.Seg != nil {
-			// Typed diagnostic failures attach a partial segmentation;
-			// surface its counters to the client.
-			out.partial = apiv1.ResponseFromSegmentation(res.Seg, nil)
-		}
-		return out
-	}
-	out.resp = apiv1.ResponseFromSegmentation(res.Seg, nil)
-	return out
+	s.metrics.stages.add(res.Stats.Stages)
+	return res, nil
 }
 
 // effectiveTimeout resolves a request's wire deadline against the
@@ -406,7 +334,6 @@ func (s *Server) Varz() *apiv1.Metrics {
 	m.Draining = s.Draining()
 	m.InFlight = int64(len(s.sem))
 	m.QueueDepth = s.queued.Load()
-	m.Coalesce.InFlightKeys = s.flights.size()
 	cs := s.eng.CacheStats()
 	m.Engine.TokenHits = cs.TokenHits
 	m.Engine.TokenMisses = cs.TokenMisses

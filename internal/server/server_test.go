@@ -15,10 +15,13 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	apiv1 "tableseg/api/v1"
+	"tableseg/internal/artifact"
 	"tableseg/internal/core"
 	"tableseg/internal/engine"
 	"tableseg/internal/experiments"
@@ -117,11 +120,11 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 
 // gateObserver blocks the first pipeline stage it sees until released,
 // making "a computation is in flight right now" a deterministic test
-// state instead of a race.
+// state instead of a race. Stages of other tasks pass.
 type gateObserver struct {
 	entered chan struct{}
 	release chan struct{}
-	once    sync.Once
+	taken   atomic.Bool
 }
 
 func newGate() *gateObserver {
@@ -129,10 +132,10 @@ func newGate() *gateObserver {
 }
 
 func (g *gateObserver) OnStageStart(name string) {
-	g.once.Do(func() {
+	if g.taken.CompareAndSwap(false, true) {
 		close(g.entered)
 		<-g.release
-	})
+	}
 }
 
 func (g *gateObserver) OnStageEnd(string, time.Duration, error) {}
@@ -171,142 +174,44 @@ func TestServeMatchesLibrary(t *testing.T) {
 	}
 }
 
-// TestCoalesceConcurrentIdentical is the tentpole acceptance check:
-// two concurrent identical submissions perform ONE segmentation, the
-// follower's response is marked coalesced, and /varz records exactly
-// one hit and one miss.
-func TestCoalesceConcurrentIdentical(t *testing.T) {
-	gate := newGate()
-	s, ts := newTestServer(t, Config{Engine: engineConfig(gate, 0)})
-	req := wireRequest(siteInput(t, "allegheny", 0), "")
-
-	type reply struct {
-		ok  *apiv1.SegmentResponse
-		err *apiv1.ErrorResponse
-	}
-	results := make(chan reply, 2)
-	post := func() {
-		_, ok, werr := postSegment(t, ts.URL, req, "")
-		results <- reply{ok, werr}
-	}
-	go post()
-	<-gate.entered // leader is now inside the pipeline, holding the flight
-	go post()
-	waitUntil(t, "follower to join the flight", func() bool {
-		return s.metrics.coalesceHits.Load() == 1
-	})
-	close(gate.release)
-
-	var coalesced, fresh int
-	for i := 0; i < 2; i++ {
-		r := <-results
-		if r.ok == nil {
-			t.Fatalf("request failed: %+v", r.err)
-		}
-		if r.ok.Coalesced {
-			coalesced++
-		} else {
-			fresh++
-		}
-	}
-	if fresh != 1 || coalesced != 1 {
-		t.Errorf("fresh=%d coalesced=%d, want 1 and 1", fresh, coalesced)
-	}
-	if n := s.metrics.tasksCompleted.Load(); n != 1 {
-		t.Errorf("engine ran %d tasks, want 1", n)
-	}
-	m := s.Varz()
-	if m.Coalesce.Hits != 1 || m.Coalesce.Misses != 1 {
-		t.Errorf("varz coalesce = %+v, want hits=1 misses=1", m.Coalesce)
-	}
-	if m.Coalesce.InFlightKeys != 0 {
-		t.Errorf("coalescing map holds %d keys after completion, want 0", m.Coalesce.InFlightKeys)
-	}
-}
-
-// TestCoalescedWaiterOutlivesLeaderDeadline: a follower shares its
-// leader's computation but not its deadline. When the leader's deadline
-// ends the shared computation, the follower, whose own context is alive,
-// computes afresh and gets 200.
-func TestCoalescedWaiterOutlivesLeaderDeadline(t *testing.T) {
-	gate := newGate()
-	s, ts := newTestServer(t, Config{Engine: engineConfig(gate, 0)})
-	leaderReq := wireRequest(siteInput(t, "allegheny", 0), "")
-	leaderReq.TimeoutMillis = 50
-	followerReq := wireRequest(siteInput(t, "allegheny", 0), "")
-
-	leaderStatus := make(chan int, 1)
-	go func() {
-		resp, _, _ := postSegment(t, ts.URL, leaderReq, "")
-		leaderStatus <- resp.StatusCode
-	}()
-	<-gate.entered
-	type reply struct {
-		status int
-		ok     *apiv1.SegmentResponse
-		err    *apiv1.ErrorResponse
-	}
-	follower := make(chan reply, 1)
-	go func() {
-		resp, ok, werr := postSegment(t, ts.URL, followerReq, "")
-		follower <- reply{resp.StatusCode, ok, werr}
-	}()
-	waitUntil(t, "follower to join the flight", func() bool {
-		return s.metrics.coalesceHits.Load() == 1
-	})
-	time.Sleep(100 * time.Millisecond) // past the leader's 50 ms deadline
-	close(gate.release)
-
-	if st := <-leaderStatus; st != http.StatusGatewayTimeout {
-		t.Errorf("leader: status %d, want 504", st)
-	}
-	r := <-follower
-	if r.ok == nil {
-		t.Fatalf("follower: status %d %+v, want 200", r.status, r.err)
-	}
-	if r.ok.Coalesced {
-		t.Error("follower computed afresh but reported coalesced")
-	}
-	if n := s.metrics.tasksCompleted.Load(); n != 2 {
-		t.Errorf("engine ran %d tasks, want 2", n)
-	}
-}
-
-// TestCoalescedStatsFollowEachRequest: coalesced requests share one
-// computation, but each response carries stats exactly when its own
-// request asked for them, whichever of the two leads.
+// TestCoalescedStatsFollowEachRequest: of two identical requests in
+// flight together, each response carries stats exactly when its own
+// request asked for them, whichever of the two leads (enters the
+// pipeline first and is held there while the other finishes).
 func TestCoalescedStatsFollowEachRequest(t *testing.T) {
 	for _, leaderWants := range []bool{true, false} {
 		t.Run(fmt.Sprintf("leaderWantsStats=%v", leaderWants), func(t *testing.T) {
 			gate := newGate()
-			s, ts := newTestServer(t, Config{Engine: engineConfig(gate, 0)})
+			s, ts := newTestServer(t, Config{Engine: engineConfig(gate, 2)})
+			release := sync.OnceFunc(func() { close(gate.release) })
+			defer release()
 			in := siteInput(t, "allegheny", 0)
-			leaderReq, followerReq := wireRequest(in, ""), wireRequest(in, "")
-			leaderReq.WantStats, followerReq.WantStats = leaderWants, !leaderWants
+			leaderReq, otherReq := wireRequest(in, ""), wireRequest(in, "")
+			leaderReq.WantStats, otherReq.WantStats = leaderWants, !leaderWants
 
 			replies := make([]chan *apiv1.SegmentResponse, 2)
-			for i, req := range []*apiv1.SegmentRequest{leaderReq, followerReq} {
+			for i, req := range []*apiv1.SegmentRequest{leaderReq, otherReq} {
 				replies[i] = make(chan *apiv1.SegmentResponse, 1)
 				go func() {
 					_, ok, _ := postSegment(t, ts.URL, req, "")
 					replies[i] <- ok
 				}()
 				if i == 0 {
-					<-gate.entered
+					<-gate.entered // the leader is inside the pipeline
 				}
 			}
-			waitUntil(t, "follower to join the flight", func() bool {
-				return s.metrics.coalesceHits.Load() == 1
+			waitUntil(t, "the second request to finish in the engine", func() bool {
+				return s.metrics.tasksCompleted.Load() == 1
 			})
-			close(gate.release)
+			release()
 
 			for i, wants := range []bool{leaderWants, !leaderWants} {
 				got := <-replies[i]
 				if got == nil {
 					t.Fatalf("request %d failed", i)
 				}
-				if got.Coalesced != (i == 1) {
-					t.Errorf("request %d: coalesced = %v", i, got.Coalesced)
+				if got.Coalesced {
+					t.Errorf("request %d reported coalesced", i)
 				}
 				if (got.Stats != nil) != wants {
 					t.Errorf("request %d asked for stats: %v, response carries them: %v", i, wants, got.Stats != nil)
@@ -316,6 +221,135 @@ func TestCoalescedStatsFollowEachRequest(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIdenticalRequestsEachRunTheEngine: while one request is held
+// inside the pipeline, an identical one runs through the engine too
+// and finishes first; each response is its own segmentation.
+func TestIdenticalRequestsEachRunTheEngine(t *testing.T) {
+	gate := newGate()
+	s, ts := newTestServer(t, Config{Engine: engineConfig(gate, 2)})
+	release := sync.OnceFunc(func() { close(gate.release) })
+	defer release()
+	req := wireRequest(siteInput(t, "allegheny", 0), "")
+
+	replies := make(chan *apiv1.SegmentResponse, 2)
+	post := func() {
+		_, ok, _ := postSegment(t, ts.URL, req, "")
+		replies <- ok
+	}
+	go post()
+	<-gate.entered // the first request is inside the pipeline
+	go post()
+	waitUntil(t, "the second request to finish in the engine", func() bool {
+		return s.metrics.tasksCompleted.Load() == 1
+	})
+	release()
+
+	for i := 0; i < 2; i++ {
+		got := <-replies
+		if got == nil {
+			t.Fatal("request failed")
+		}
+		if got.Coalesced {
+			t.Error("response reported coalesced")
+		}
+	}
+	m := s.Varz()
+	if m.Engine.TasksCompleted != 2 {
+		t.Errorf("tasksCompleted = %d, want 2", m.Engine.TasksCompleted)
+	}
+	if m.Coalesce != (apiv1.CoalesceCounters{}) {
+		t.Errorf("varz coalesce = %+v, want zeros", m.Coalesce)
+	}
+}
+
+// heldStore is an artifact store that holds its first Put until
+// released, so the computation that makes it (one page's
+// tokenization) stays in flight, and counts the lookups of that key
+// by other tasks.
+type heldStore struct {
+	artifact.Store
+	taken            atomic.Bool
+	entered, release chan struct{}
+	key              artifact.Key
+	lookups          atomic.Int64
+}
+
+func newHeldStore() *heldStore {
+	return &heldStore{Store: artifact.NewMemory(0), entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (h *heldStore) Put(k artifact.Key, payload []byte) {
+	if h.taken.CompareAndSwap(false, true) {
+		h.key = k
+		close(h.entered)
+		<-h.release
+	}
+	h.Store.Put(k, payload)
+}
+
+func (h *heldStore) Get(k artifact.Key) ([]byte, bool) {
+	select {
+	case <-h.entered:
+		if k == h.key {
+			h.lookups.Add(1)
+		}
+	default:
+	}
+	return h.Store.Get(k)
+}
+
+// TestIdenticalRequestOutlivesAnothersDeadline: identical requests
+// share the engine's artifact computations but not their deadlines.
+// The second request waits on a page tokenization the first started;
+// when the first's deadline passes, the first gets 504 and the second,
+// whose own context is alive, gets 200.
+func TestIdenticalRequestOutlivesAnothersDeadline(t *testing.T) {
+	store := newHeldStore()
+	s, ts := newTestServer(t, Config{Engine: engine.Config{
+		Options:     core.DefaultOptions(core.Probabilistic),
+		Concurrency: 2,
+		Store:       store,
+	}})
+	release := sync.OnceFunc(func() { close(store.release) })
+	defer release()
+	in := siteInput(t, "allegheny", 0)
+	first, second := wireRequest(in, ""), wireRequest(in, "")
+	first.TimeoutMillis = 50
+
+	firstStatus := make(chan int, 1)
+	go func() {
+		resp, _, _ := postSegment(t, ts.URL, first, "")
+		firstStatus <- resp.StatusCode
+	}()
+	<-store.entered // the first request is tokenizing its first page
+	type reply struct {
+		status int
+		ok     *apiv1.SegmentResponse
+		err    *apiv1.ErrorResponse
+	}
+	secondReply := make(chan reply, 1)
+	go func() {
+		resp, ok, werr := postSegment(t, ts.URL, second, "")
+		secondReply <- reply{resp.StatusCode, ok, werr}
+	}()
+	waitUntil(t, "the second request to look up the page in flight", func() bool {
+		return store.lookups.Load() > 0
+	})
+	time.Sleep(100 * time.Millisecond) // past the first request's 50 ms deadline
+	release()
+
+	if st := <-firstStatus; st != http.StatusGatewayTimeout {
+		t.Errorf("first request: status %d, want 504", st)
+	}
+	r := <-secondReply
+	if r.ok == nil {
+		t.Fatalf("second request: status %d %+v, want 200", r.status, r.err)
+	}
+	if n := s.metrics.tasksCompleted.Load(); n != 2 {
+		t.Errorf("engine ran %d tasks, want 2", n)
 	}
 }
 
@@ -353,7 +387,7 @@ func TestRateLimit(t *testing.T) {
 }
 
 // TestAdmissionQueueFull: with one slot held and the wait queue at
-// capacity, the next non-identical request is rejected 429 queue_full.
+// capacity, the next request is rejected 429 queue_full.
 func TestAdmissionQueueFull(t *testing.T) {
 	gate := newGate()
 	s, ts := newTestServer(t, Config{Engine: engineConfig(gate, 1), MaxQueue: 1})
@@ -489,8 +523,21 @@ func TestHealthzAndVarz(t *testing.T) {
 		t.Fatalf("healthz: %d", hz.StatusCode)
 	}
 
-	if _, ok, _ := postSegment(t, ts.URL, wireRequest(siteInput(t, "allegheny", 0), ""), ""); ok == nil {
-		t.Fatal("segmentation request failed")
+	// The stage histograms are folded from each task's stats, so they
+	// add up to what the responses report.
+	calls, millis := map[string]int64{}, map[string]float64{}
+	inputs := []core.Input{siteInput(t, "allegheny", 0), siteInput(t, "allegheny", 1), siteInput(t, "butler", 0)}
+	for _, in := range inputs {
+		req := wireRequest(in, "")
+		req.WantStats = true
+		_, ok, _ := postSegment(t, ts.URL, req, "")
+		if ok == nil || ok.Stats == nil {
+			t.Fatal("segmentation request failed or carries no stats")
+		}
+		for _, st := range ok.Stats.Stages {
+			calls[st.Stage] += int64(st.Calls)
+			millis[st.Stage] += st.Millis
+		}
 	}
 	vz, err := http.Get(ts.URL + apiv1.PathVarz)
 	if err != nil {
@@ -501,14 +548,18 @@ func TestHealthzAndVarz(t *testing.T) {
 	if err := json.NewDecoder(vz.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Requests.Total != 1 || m.Requests.OK != 1 {
+	n := int64(len(inputs))
+	if m.Requests.Total != n || m.Requests.OK != n {
 		t.Errorf("request counters = %+v", m.Requests)
 	}
-	if m.Engine.TasksCompleted != 1 {
+	if m.Engine.TasksCompleted != n {
 		t.Errorf("tasksCompleted = %d", m.Engine.TasksCompleted)
 	}
-	if len(m.Stages) == 0 {
-		t.Fatal("varz has no stage histograms")
+	if m.Coalesce != (apiv1.CoalesceCounters{}) {
+		t.Errorf("coalesce = %+v, want zeros", m.Coalesce)
+	}
+	if len(m.Stages) != len(calls) {
+		t.Fatalf("varz has %d stage histograms, responses report %d stages", len(m.Stages), len(calls))
 	}
 	if m.Stages[0].Stage != stage.StageTokenize {
 		t.Errorf("first histogram is %q, want pipeline order", m.Stages[0].Stage)
@@ -521,9 +572,43 @@ func TestHealthzAndVarz(t *testing.T) {
 		if sum+h.Overflow != h.Count {
 			t.Errorf("stage %s: bucket sum %d+%d != count %d", h.Stage, sum, h.Overflow, h.Count)
 		}
+		if h.Count != calls[h.Stage] {
+			t.Errorf("stage %s: count %d, responses report %d calls", h.Stage, h.Count, calls[h.Stage])
+		}
+		// Each response rounds its stage's total down to a microsecond;
+		// the histogram rounds the sum once.
+		if d := h.TotalMillis - millis[h.Stage]; d < -1e-6 || d > float64(n)*1e-3+1e-6 {
+			t.Errorf("stage %s: totalMillis %.3f, responses report %.3f", h.Stage, h.TotalMillis, millis[h.Stage])
+		}
 	}
 	if m.UptimeSeconds <= 0 {
 		t.Error("uptime not reported")
+	}
+}
+
+// TestStageHistogramsCountEachCall: a stage that ran several times in
+// one task adds each call, in the bucket of the task's mean duration
+// for the stage; a call past the last bound lands in the overflow.
+func TestStageHistogramsCountEachCall(t *testing.T) {
+	h := newStageHistograms()
+	h.add([]core.StageTiming{
+		{Name: stage.StageExtract, Duration: 6 * time.Millisecond, Calls: 2},
+		{Name: stage.StageSegment, Duration: 20 * time.Second, Calls: 1},
+	})
+	h.add([]core.StageTiming{{Name: stage.StageExtract, Duration: 500 * time.Microsecond, Calls: 1}})
+	counts := func(byBound map[int]int64) []int64 {
+		out := make([]int64, len(histBoundsMillis))
+		for i, n := range byBound {
+			out[i] = n
+		}
+		return out
+	}
+	want := []apiv1.StageHistogram{
+		{Stage: stage.StageExtract, Count: 3, TotalMillis: 6.5, BoundsMillis: histBoundsMillis, Counts: counts(map[int]int64{0: 1, 2: 2})},
+		{Stage: stage.StageSegment, Count: 1, TotalMillis: 20000, BoundsMillis: histBoundsMillis, Counts: counts(nil), Overflow: 1},
+	}
+	if got := h.snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("histograms = %+v, want %+v", got, want)
 	}
 }
 
@@ -566,7 +651,7 @@ func TestRequestErrors(t *testing.T) {
 }
 
 // TestServerNoGoroutineLeak: a burst of mixed traffic followed by
-// drain leaves no goroutines behind (and the coalescing map empty).
+// drain leaves no goroutines behind.
 func TestServerNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	func() {
@@ -586,9 +671,6 @@ func TestServerNoGoroutineLeak(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if n := s.flights.size(); n != 0 {
-			t.Errorf("coalescing map holds %d keys after burst", n)
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if err := s.Drain(ctx); err != nil {
@@ -751,28 +833,29 @@ func TestBoundedBodyRead(t *testing.T) {
 	}
 }
 
-// TestDecodeRequestReadError: when reading the body fails, the value
-// and the error are what json.Decoder gives reading the same failing
-// stream itself, as the handler once did; a value that completes
-// before the failure still decodes.
+// TestDecodeRequestReadError: when reading the body fails, the request
+// fails with the read error and nothing decodes, whatever arrived
+// before the failure.
 func TestDecodeRequestReadError(t *testing.T) {
 	const full = `{"method":"csp","target":1} and more`
 	boom := errors.New("connection reset")
+	cut := func(n int) io.Reader { return io.MultiReader(strings.NewReader(full[:n]), iotest.ErrReader(boom)) }
+	capped := func(n int64) io.Reader { return http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(full)), n) }
 	for _, c := range []struct {
 		name string
-		body func() io.Reader
+		body io.Reader
+		want string
 	}{
-		{"nothing arrived", func() io.Reader { return errReader{boom} }},
-		{"cut mid-value", func() io.Reader { return io.MultiReader(strings.NewReader(full[:12]), errReader{boom}) }},
-		{"cut after the value", func() io.Reader { return io.MultiReader(strings.NewReader(full), errReader{boom}) }},
-		{"over the cap mid-value", func() io.Reader { return http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(full)), 12) }},
-		{"over the cap after the value", func() io.Reader { return http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(full)), 30) }},
+		{"nothing arrived", iotest.ErrReader(boom), "connection reset"},
+		{"cut mid-value", cut(12), "connection reset"},
+		{"cut after the value", cut(len(full)), "connection reset"},
+		{"over the cap mid-value", capped(12), "http: request body too large"},
+		{"over the cap after the value", capped(30), "http: request body too large"},
 	} {
-		var got, want apiv1.SegmentRequest
-		gotErr := decodeRequest(c.body(), -1, &got)
-		wantErr := json.NewDecoder(c.body()).Decode(&want)
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: got %+v, %v; json.Decoder reads %+v, %v", c.name, got, gotErr, want, wantErr)
+		var got apiv1.SegmentRequest
+		err := decodeRequest(c.body, -1, &got)
+		if fmt.Sprint(err) != c.want || !reflect.DeepEqual(got, apiv1.SegmentRequest{}) {
+			t.Errorf("%s: got %+v, %v; want nothing decoded, %q", c.name, got, err, c.want)
 		}
 	}
 }

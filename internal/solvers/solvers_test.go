@@ -19,7 +19,7 @@ import (
 // given bound on consecutiveness repair.
 func config(cutRounds int) Config {
 	return Config{
-		CSP:        csp.SolveParams{ExactCheck: true, MaxCutRounds: cutRounds},
+		CSP:        csp.SolveParams{MaxCutRounds: cutRounds},
 		PHMM:       phmm.DefaultParams(),
 		CSPColumns: true,
 	}

@@ -60,34 +60,15 @@ func Names() []string {
 // Observer receives per-stage instrumentation. Durations are measured
 // through internal/clock, the repository's audited wall-clock seam, so
 // observers never influence segmentation output. Implementations must
-// be safe for use from the goroutine running the pipeline (the engine
-// gives every task its own observer).
+// be safe for use from the goroutine running the pipeline; one given
+// to an engine sees the stages of every task it runs, so it must be
+// safe for concurrent use.
 type Observer interface {
 	// OnStageStart fires immediately before the stage function runs.
 	OnStageStart(name string)
 	// OnStageEnd fires after the stage function returns, with its wall
 	// time and error (nil on success).
 	OnStageEnd(name string, dur time.Duration, err error)
-}
-
-// MultiObserver fans instrumentation out to several observers in
-// order. Nil entries are skipped; an empty MultiObserver is valid.
-type MultiObserver []Observer
-
-func (m MultiObserver) OnStageStart(name string) {
-	for _, o := range m {
-		if o != nil {
-			o.OnStageStart(name)
-		}
-	}
-}
-
-func (m MultiObserver) OnStageEnd(name string, dur time.Duration, err error) {
-	for _, o := range m {
-		if o != nil {
-			o.OnStageEnd(name, dur, err)
-		}
-	}
 }
 
 // Instrument runs one stage function under an observer. It checks the

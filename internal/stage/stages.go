@@ -44,11 +44,11 @@ func Tokenize(ctx context.Context, in TokenizeIn) (TokenizeOut, error) {
 		return token.Tokenize(p.HTML)
 	}
 	for i, p := range in.ListPages {
-		//tableseglint:ignore ctxflow the token cache joins duplicate tokenization via Once; the wait is bounded by one page's tokenize
+		//tableseglint:ignore ctxflow a Cache may wait for another run tokenizing the same page (the engine's doOnce artifact flight); the wait is bounded by one page's tokenize
 		out.Lists[i] = TokenizedPage{Name: p.Name, Tokens: lex(p)}
 	}
 	for i, p := range in.DetailPages {
-		//tableseglint:ignore ctxflow the token cache joins duplicate tokenization via Once; the wait is bounded by one page's tokenize
+		//tableseglint:ignore ctxflow a Cache may wait for another run tokenizing the same page (the engine's doOnce artifact flight); the wait is bounded by one page's tokenize
 		out.Details[i] = TokenizedPage{Name: p.Name, Tokens: lex(p)}
 	}
 	// Cache-returned token slices are shared by contract: token slices
@@ -76,7 +76,7 @@ func InduceTemplate(ctx context.Context, in TemplateIn) (Template, error) {
 	if in.Cache != nil {
 		// The closure escapes through the interface call, so it is
 		// built on this path only: the direct path allocates no closure.
-		//tableseglint:ignore ctxflow the template cache joins duplicate induction via Once; the wait is bounded by one site's induction
+		//tableseglint:ignore ctxflow a Cache may wait for another run inducing the same template (the engine's doOnce artifact flight); the wait is bounded by one site's induction
 		return Template{Tpl: in.Cache.Template(func() *pagetemplate.Template { return induce(in.Lists) })}, nil
 	}
 	return Template{Tpl: induce(in.Lists)}, nil

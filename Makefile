@@ -99,13 +99,15 @@ bench: bench-stages
 	$(GO) test -bench=. -skip '^Benchmark(Stage|Solver)' -benchmem -run '^$$' .
 
 # The stage/solver microbenchmarks alone, regenerating BENCH_stages.json.
+# benchjson writes nothing when the run printed a FAIL line.
 bench-stages:
 	$(STAGE_BENCH) | $(GO) run ./cmd/benchjson -filter '^(Stage|Solver)' -out BENCH_stages.json
 
 # Re-run the stage/solver microbenchmarks and diff against the
-# committed BENCH_stages.json. Any allocs/op growth fails; ns/op growth
-# beyond the tolerance is printed but advisory (CI runners jitter).
-# The committed file is left untouched.
+# committed BENCH_stages.json. Any allocs/op growth fails, and so does a
+# FAIL line in the run or a committed benchmark missing from it; ns/op
+# growth beyond the tolerance is printed but advisory (CI runners
+# jitter). The committed file is left untouched.
 bench-check:
 	$(STAGE_BENCH) | $(GO) run ./cmd/benchjson -filter '^(Stage|Solver)' -baseline BENCH_stages.json -tolerance 30 -out /dev/null
 
@@ -125,9 +127,11 @@ cover:
 # with no consecutiveness hole unless the solver is exhausted), the
 # §6.3 column solve (stopped at the optimum its dynamic program
 # proves, it must return a full WSAT run's columns, each record
-# starting at column 0 and strictly increasing) and the daemon's
-# request decoder (on any bytes, the value and the error text of
-# encoding/json).
+# starting at column 0 and strictly increasing), the CSP relaxation
+# ladder (each rung settled by exact search first, it must give the
+# records, status and cut rounds of the ladder's reference search with
+# no more flips) and the daemon's request decoder (on any bytes, the
+# value and the error text of encoding/json).
 fuzz:
 	$(GO) test -fuzz=FuzzTokenize -fuzztime=30s ./internal/htmlx
 	$(GO) test -fuzz=FuzzTokenizeMatchesReference -fuzztime=30s ./internal/token
@@ -136,6 +140,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSegment -fuzztime=30s ./internal/phmm
 	$(GO) test -fuzz=FuzzSolve -fuzztime=30s ./internal/solvers
 	$(GO) test -fuzz=FuzzAssignColumns -fuzztime=30s ./internal/csp
+	$(GO) test -fuzz=FuzzSolveSegmentation -fuzztime=30s ./internal/csp
 	$(GO) test -fuzz=FuzzDecodeSegmentRequest -fuzztime=30s ./api/v1
 
 clean:

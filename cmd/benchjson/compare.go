@@ -3,10 +3,12 @@ package main
 // Baseline comparison: `benchjson -baseline BENCH_stages.json` diffs
 // the freshly parsed report against a previously committed one. A
 // benchmark whose allocs/op grew fails the run: at a fixed -benchtime
-// Nx the count repeats exactly, so any growth is a real change. A
-// benchmark whose ns/op grew by more than -tolerance percent only gets
-// a warning, because microbenchmarks on shared CI runners jitter too
-// much for a hard timing gate. `make bench-check` wires this up.
+// Nx the count repeats exactly, so any growth is a real change. So
+// does a baseline benchmark missing from the run, whose allocations
+// would otherwise escape the gate. A benchmark whose ns/op grew by
+// more than -tolerance percent only gets a warning, because
+// microbenchmarks on shared CI runners jitter too much for a hard
+// timing gate. `make bench-check` wires this up.
 
 import (
 	"encoding/json"
@@ -30,8 +32,9 @@ func loadReport(path string) (*Report, error) {
 }
 
 // compare writes one line per regressed, missing or new benchmark to w
-// and returns the number of allocs/op regressions, which fail the run;
-// ns/op regressions beyond the tolerance are warnings only.
+// and returns the number of allocs/op regressions and missing
+// benchmarks, which fail the run; ns/op regressions beyond the
+// tolerance are warnings only.
 func compare(w io.Writer, baseline, current *Report, tolerancePct float64) int {
 	old := make(map[string]Record, len(baseline.Benchmarks))
 	for _, r := range baseline.Benchmarks {
@@ -76,5 +79,8 @@ func compare(w io.Writer, baseline, current *Report, tolerancePct float64) int {
 	if allocGrowth > 0 {
 		fmt.Fprintf(w, "benchjson: %d benchmark(s) allocate more than the baseline; failing the run\n", allocGrowth)
 	}
-	return allocGrowth
+	if len(gone) > 0 {
+		fmt.Fprintf(w, "benchjson: %d baseline benchmark(s) missing from this run; failing the run\n", len(gone))
+	}
+	return allocGrowth + len(gone)
 }

@@ -12,6 +12,11 @@
 // collected under "metrics". The report is deterministic for a given
 // input stream, so diffs of BENCH_stages.json across commits show stage
 // regressions directly.
+//
+// A stream holding a FAIL line (a benchmark that failed, or a test
+// binary that did not build or run) is not a report: benchjson then
+// writes nothing and exits 1, so the exit status of the pipeline's
+// first command is not needed to catch it.
 package main
 
 import (
@@ -19,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strconv"
@@ -46,6 +52,10 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
 // valueUnit matches one "<number> <unit>" column of a result line.
 var valueUnit = regexp.MustCompile(`([0-9.eE+-]+)\s+(\S+)`)
+
+// failLine matches the lines go test prints for a failed benchmark
+// ("--- FAIL: BenchmarkX") and a failed package ("FAIL", "FAIL\tpkg").
+var failLine = regexp.MustCompile(`^(FAIL(\s|$)|\s*--- FAIL:)`)
 
 func parseLine(line string) (Record, bool) {
 	m := benchLine.FindStringSubmatch(line)
@@ -86,13 +96,20 @@ func parseLine(line string) (Record, bool) {
 	return rec, seen
 }
 
-func run(filter *regexp.Regexp, out string) (*Report, error) {
+// run reads a benchmark stream from in, echoes it to echo and writes
+// the report to out. A stream with a FAIL line is an error, and
+// nothing is written.
+func run(in io.Reader, echo io.Writer, filter *regexp.Regexp, out string) (*Report, error) {
 	var report Report
-	sc := bufio.NewScanner(os.Stdin)
+	failed := ""
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line)
+		fmt.Fprintln(echo, line)
+		if failed == "" && failLine.MatchString(line) {
+			failed = line
+		}
 		rec, ok := parseLine(line)
 		if !ok || !filter.MatchString(rec.Name) {
 			continue
@@ -102,13 +119,16 @@ func run(filter *regexp.Regexp, out string) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("benchjson: reading stdin: %w", err)
 	}
+	if failed != "" {
+		return nil, fmt.Errorf("benchjson: the benchmark run failed (%q); no report written", failed)
+	}
 	data, err := json.MarshalIndent(&report, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("benchjson: %w", err)
 	}
 	data = append(data, '\n')
 	if out == "-" {
-		_, err := os.Stdout.Write(data)
+		_, err := echo.Write(data)
 		return &report, err
 	}
 	if err := os.WriteFile(out, data, 0o644); err != nil {
@@ -120,7 +140,7 @@ func run(filter *regexp.Regexp, out string) (*Report, error) {
 func main() {
 	filterFlag := flag.String("filter", "", "regexp selecting benchmark names for the report (empty = all)")
 	out := flag.String("out", "-", "output file (- = stdout)")
-	baselinePath := flag.String("baseline", "", "prior report to diff against (allocs/op growth fails the run; ns/op growth only warns)")
+	baselinePath := flag.String("baseline", "", "prior report to diff against (allocs/op growth or a missing benchmark fails the run; ns/op growth only warns)")
 	tolerance := flag.Float64("tolerance", 20, "ns/op growth beyond this percentage is reported as an advisory regression")
 	flag.Parse()
 
@@ -129,7 +149,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: bad -filter:", err)
 		os.Exit(2)
 	}
-	report, err := run(filter, *out)
+	report, err := run(os.Stdin, os.Stdout, filter, *out)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

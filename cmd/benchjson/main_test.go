@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -69,8 +70,8 @@ func TestCompare(t *testing.T) {
 	}}
 	var buf strings.Builder
 	got := compare(&buf, baseline, current, 20)
-	if got != 1 {
-		t.Fatalf("compare returned %d failures, want 1 (the allocs/op growth)\n%s", got, buf.String())
+	if got != 2 {
+		t.Fatalf("compare returned %d failures, want 2 (the allocs/op growth and the missing benchmark)\n%s", got, buf.String())
 	}
 	out := buf.String()
 	for _, want := range []string{
@@ -80,6 +81,7 @@ func TestCompare(t *testing.T) {
 		"1 benchmark(s) allocate more than the baseline; failing the run",
 		"SolverAdded: new benchmark, no baseline",
 		"SolverRemoved: present in baseline but not in this run",
+		"1 baseline benchmark(s) missing from this run; failing the run",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("compare output missing %q:\n%s", want, out)
@@ -117,5 +119,59 @@ func TestLoadReportRoundTrip(t *testing.T) {
 	}
 	if _, err := loadReport(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("loadReport on a missing file returned no error")
+	}
+}
+
+// A baseline benchmark that fails or is skipped in the run (here it
+// called b.Fatal, so go test printed no result line for it) must fail
+// the comparison, not only be mentioned.
+func TestCompareFailsOnMissingBenchmark(t *testing.T) {
+	i64 := func(n int64) *int64 { return &n }
+	baseline := &Report{Benchmarks: []Record{
+		{Name: "SolverColumns", NsPerOp: 300, AllocsPerOp: i64(494)},
+		{Name: "SolverWSATRestart", NsPerOp: 100, AllocsPerOp: i64(367)},
+	}}
+	current := &Report{Benchmarks: []Record{{Name: "SolverWSATRestart", NsPerOp: 90, AllocsPerOp: i64(14)}}}
+	var buf strings.Builder
+	if got := compare(&buf, baseline, current, 20); got != 1 {
+		t.Fatalf("compare returned %d failures, want 1\n%s", got, buf.String())
+	}
+	if !strings.Contains(buf.String(), "SolverColumns: present in baseline but not in this run") {
+		t.Errorf("missing benchmark not named:\n%s", buf.String())
+	}
+}
+
+// A stream with a FAIL line must be an error, and no report may be
+// written, so `make bench-stages` cannot commit a partial file.
+func TestRunRefusesFailedStream(t *testing.T) {
+	filter := regexp.MustCompile(`^(Stage|Solver)`)
+	ok := "BenchmarkSolver/csp-2  20  51234 ns/op  1000 B/op  796 allocs/op\nPASS\nok  \ttableseg\t1.2s\n"
+	for name, stream := range map[string]string{
+		"benchmark failed": "BenchmarkSolver/csp-2  20  51234 ns/op  1000 B/op  796 allocs/op\n" +
+			"--- FAIL: BenchmarkSolverColumns\n    stage_bench_test.go:80: boom\nFAIL\nexit status 1\nFAIL\ttableseg\t1.2s\n",
+		"build failed": "FAIL\ttableseg [build failed]\n",
+	} {
+		out := filepath.Join(t.TempDir(), "bench.json")
+		var echo strings.Builder
+		if _, err := run(strings.NewReader(stream), &echo, filter, out); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+		if echo.String() != stream {
+			t.Errorf("%s: echoed %q, want the stream unchanged", name, echo.String())
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%s: report written (stat error %v)", name, err)
+		}
+	}
+	out := filepath.Join(t.TempDir(), "bench.json")
+	report, err := run(strings.NewReader(ok), &strings.Builder{}, filter, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Benchmarks) != 1 || report.Benchmarks[0].Name != "Solver/csp" {
+		t.Errorf("report = %+v", report)
+	}
+	if _, err := os.Stat(out); err != nil {
+		t.Errorf("report not written: %v", err)
 	}
 }

@@ -36,18 +36,45 @@ func mixedInstance(rng *rand.Rand, nVars int) *Problem {
 // The bounded exact search must agree with brute force: an assignment
 // it returns is feasible and below the bound, and it reports "nothing
 // below u" only when brute force finds nothing below u either (UNSAT
-// being the case u = noBound). A search cut short by its budget must
-// say so, never claim a proof.
+// being the case u = noBound). So must the branch and bound that
+// settles a rung: its optimum is brute force's, it proves UNSAT only
+// when brute force finds nothing, and its first assignment is
+// SolveExact's. A search cut short by its budget must say so, never
+// claim a proof.
 func TestSolveExactBelowAgreesWithBruteForce(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(17))
 	proved, found, limited, unsat := 0, 0, 0, 0
+	optLimited := 0
 	for trial := 0; trial < 150; trial++ {
 		p := mixedInstance(rng, 4+rng.Intn(9))
 		opt, count := bruteForceOptimum(p)
 		feasible := count > 0
 		if !feasible {
 			unsat++
+		}
+		want, _, err := SolveExact(ctx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int{exactMaxNodes, 1 + trial%20} {
+			first, got, err := exactOptimum(ctx, p, budget)
+			switch {
+			case errors.Is(err, ErrSearchLimit):
+				optLimited++
+			case err != nil:
+				t.Fatalf("trial %d: %v", trial, err)
+			case first == nil && feasible:
+				t.Fatalf("trial %d, budget %d: proved UNSAT, brute force has optimum %d", trial, budget, opt)
+			case first != nil && got != opt:
+				t.Fatalf("trial %d, budget %d: optimum %d, brute force %d", trial, budget, got, opt)
+			}
+			if first != nil && !reflect.DeepEqual(first, want) {
+				t.Fatalf("trial %d, budget %d: first assignment %v, SolveExact's %v", trial, budget, first, want)
+			}
+			if budget == exactMaxNodes && err != nil {
+				t.Fatalf("trial %d: full budget ran out: %v", trial, err)
+			}
 		}
 		for _, u := range []int{noBound, opt + 1, opt, opt - 1, rng.Intn(8)} {
 			for _, budget := range []int{2_000_000, 1 + rng.Intn(20)} {
@@ -75,9 +102,10 @@ func TestSolveExactBelowAgreesWithBruteForce(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("proved %d, found %d, limited %d, unsat instances %d", proved, found, limited, unsat)
-	if proved == 0 || found == 0 || limited == 0 || unsat == 0 {
-		t.Errorf("weak coverage: proved %d, found %d, limited %d, unsat instances %d", proved, found, limited, unsat)
+	t.Logf("proved %d, found %d, limited %d, unsat instances %d, optimum past the budget %d", proved, found, limited, unsat, optLimited)
+	if proved == 0 || found == 0 || limited == 0 || unsat == 0 || optLimited == 0 {
+		t.Errorf("weak coverage: proved %d, found %d, limited %d, unsat instances %d, optimum past the budget %d",
+			proved, found, limited, unsat, optLimited)
 	}
 }
 

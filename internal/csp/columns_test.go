@@ -230,13 +230,42 @@ type columnInput struct {
 }
 
 // table4ColumnInputs returns the column solves of the CSP method on the
-// 24 Table 4 pages at a generator seed. It runs the stage functions and
-// the segmentation as the pipeline does under core.DefaultOptions(CSP),
-// coverage retry included; pages the pipeline rejects are left out.
+// 24 Table 4 pages at a generator seed: each page's records under
+// SolveSegmentationContext's default parameters, with the first-word
+// types of its analyzed extracts. Pages whose segmentation fails are
+// left out.
 func table4ColumnInputs(t testing.TB, seed int64) []columnInput {
 	t.Helper()
-	ctx := context.Background()
 	var out []columnInput
+	for _, in := range table4SegmentInputs(t, seed) {
+		seg, err := SolveSegmentationContext(context.Background(), in.SegmentInput, SolveParams{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg.Status == Failed {
+			continue
+		}
+		out = append(out, columnInput{name: in.name, records: seg.Records, types: in.types})
+	}
+	return out
+}
+
+// segmentCase is the segmentation instance of one list page, with the
+// first-word types of its analyzed extracts.
+type segmentCase struct {
+	name string
+	SegmentInput
+	types []token.Type
+}
+
+// table4SegmentInputs returns the segmentation instances of the 24
+// Table 4 pages at a generator seed. It runs the stage functions as
+// the pipeline does under core.DefaultOptions(CSP), coverage retry
+// included; pages the pipeline rejects before segmenting are left out.
+func table4SegmentInputs(t testing.TB, seed int64) []segmentCase {
+	t.Helper()
+	ctx := context.Background()
+	var out []segmentCase
 	for _, prof := range sitegen.Profiles() {
 		site := sitegen.Generate(prof, seed)
 		for target := range site.Lists {
@@ -277,19 +306,12 @@ func table4ColumnInputs(t testing.TB, seed int64) []columnInput {
 				continue
 			}
 			p := stage.BuildProblem(m)
-			seg, err := SolveSegmentationContext(ctx, SegmentInput{
-				NumRecords: p.NumRecords, Candidates: p.Candidates, PositionGroups: p.PositionGroups,
-			}, SolveParams{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seg.Status == Failed {
-				continue
-			}
-			out = append(out, columnInput{
-				name:    fmt.Sprintf("%s page %d (seed %d)", prof.Slug, target, seed),
-				records: seg.Records,
-				types:   p.FirstTypes,
+			out = append(out, segmentCase{
+				name: fmt.Sprintf("%s page %d (seed %d)", prof.Slug, target, seed),
+				SegmentInput: SegmentInput{
+					NumRecords: p.NumRecords, Candidates: p.Candidates, PositionGroups: p.PositionGroups,
+				},
+				types: p.FirstTypes,
 			})
 		}
 	}

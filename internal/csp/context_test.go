@@ -108,12 +108,23 @@ func TestSolveWSATStopsOnCertifiedUNSAT(t *testing.T) {
 }
 
 // TestSolveSegmentationContextCancelled verifies the full segmentation
-// solve surfaces ctx.Err().
+// solve surfaces ctx.Err(), also when the exact search proves the only
+// rung UNSAT before any local search runs (two extracts of the one
+// record share a position on its page).
 func TestSolveSegmentationContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := SolveSegmentationContext(ctx, SegmentInput{}, SolveParams{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v (res %+v), want context.Canceled", err, res)
+	unsat := SegmentInput{NumRecords: 1, Candidates: [][]int{{0}, {0}}, PositionGroups: map[int][][]int{0: {{0, 1}}}}
+	for _, tc := range []struct {
+		in     SegmentInput
+		params SolveParams
+	}{
+		{SegmentInput{}, SolveParams{}},
+		{unsat, SolveParams{NoRelax: true}},
+	} {
+		res, err := SolveSegmentationContext(ctx, tc.in, tc.params)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("input %+v: err = %v (res %+v), want context.Canceled", tc.in, err, res)
+		}
 	}
 }

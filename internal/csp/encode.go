@@ -296,7 +296,10 @@ type SegmentResult struct {
 }
 
 // exactVarLimit is the largest instance, in variables, on which a rung
-// whose WSAT search found nothing runs the exact solver.
+// whose WSAT search found nothing takes the exact search's first
+// hard-feasible assignment instead (SolveExact's, from the search that
+// settles the rung, or from SolveExact itself when that search ran out
+// of nodes before reaching one). Above it such a rung fails.
 const exactVarLimit = 120
 
 // SolveParams configures SolveSegmentation.
@@ -324,12 +327,22 @@ func (sp SolveParams) withDefaults() SolveParams {
 // SolveSegmentationContext runs the paper's CSP pipeline end to end:
 // encode strictly, solve with WSAT(OIP)-style local search (with lazy
 // consecutiveness repair), and on failure descend the relaxation
-// ladder and accept a partial assignment. Cancellation is honored at
-// WSAT restart and cut-round boundaries, so the solve aborts promptly
-// with ctx.Err() while uncancelled runs stay deterministic.
+// ladder and accept a partial assignment. Each search of a rung, one
+// per cut round, first runs a bounded exact search (see searchWSAT):
+// a strict encoding it proves unsatisfiable fails without any local
+// search, and WSAT stops at the optimum it proves. The records, status
+// and cut rounds are those of a ladder that runs WSAT to the end; only
+// Flips and Restarts fall. Cancellation is honored at WSAT restart and
+// cut-round boundaries, so the solve aborts promptly with ctx.Err()
+// while uncancelled runs stay deterministic.
 func SolveSegmentationContext(ctx context.Context, in SegmentInput, params SolveParams) (*SegmentResult, error) {
-	params = params.withDefaults()
-	res, ok, err := trySolve(ctx, in, Strict, params, searchWSAT)
+	return solveLadder(ctx, in, params.withDefaults(), searchWSAT)
+}
+
+// solveLadder is SolveSegmentationContext with each rung's search as a
+// parameter.
+func solveLadder(ctx context.Context, in SegmentInput, params SolveParams, search rungSearch) (*SegmentResult, error) {
+	res, ok, err := trySolve(ctx, in, Strict, params, search)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +352,7 @@ func SolveSegmentationContext(ctx context.Context, in SegmentInput, params Solve
 	}
 	flips, restarts := res.Flips, res.Restarts
 	if !params.NoRelax {
-		res, ok, err = trySolve(ctx, in, Relaxed, params, searchWSAT)
+		res, ok, err = trySolve(ctx, in, Relaxed, params, search)
 		if err != nil {
 			return nil, err
 		}
@@ -393,21 +406,54 @@ func unassignedAll(n int) []int {
 // fails; its Flips and Restarts still count the work spent.
 type rungSearch func(ctx context.Context, p *Problem, params SolveParams) (*Solution, error)
 
-// searchWSAT is the local-search rung: WSAT, and when it finds nothing
-// on a small enough problem, the exact solver decides.
+// searchWSAT is the local-search rung. It first settles the rung by
+// an exact branch and bound of at most certNodes nodes (exactOptimum),
+// then:
+//
+//   - hard constraints proven unsatisfiable: the rung fails with no
+//     local search (Assign nil, no flips or restarts);
+//   - least soft penalty opt proven, opt ≤ HardWeight: WSAT stops at
+//     the first flip whose best reaches opt, the proven lower bound of
+//     every assignment's score (runWSAT's floor), so the result is a
+//     full run's with fewer flips;
+//   - the budget ran out, or opt > HardWeight: SolveWSATContext.
+//
+// When WSAT finds nothing on at most exactVarLimit variables, the
+// exact search's first hard-feasible assignment stands in; SolveExact
+// runs only when the settling search ran out of nodes before it
+// reached one.
 func searchWSAT(ctx context.Context, p *Problem, params SolveParams) (*Solution, error) {
-	sol, err := SolveWSATContext(ctx, p, params.WSAT)
+	// A rung proven UNSAT runs no WSAT, whose first restart would have
+	// returned a cancelled context's error.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	first, opt, err := exactOptimum(ctx, p, certNodes)
+	var sol *Solution
+	switch {
+	case err == nil && first == nil:
+		return &Solution{}, nil
+	case err == nil && opt <= params.WSAT.withDefaults(p.NumVars()).HardWeight:
+		sol, err = runWSAT(ctx, p, params.WSAT, 0, opt)
+	case err == nil || errors.Is(err, ErrSearchLimit):
+		sol, err = SolveWSATContext(ctx, p, params.WSAT)
+	default:
+		return nil, err // context cancellation
+	}
 	if err != nil || sol.Feasible || p.NumVars() > exactVarLimit {
 		return sol, err
 	}
-	exact, sat, err := SolveExact(ctx, p)
-	switch {
-	case err == nil && sat:
-		return &Solution{Assign: exact, Feasible: true, Flips: sol.Flips, Restarts: sol.Restarts}, nil
-	case err != nil && !errors.Is(err, ErrSearchLimit):
-		return nil, err // context cancellation
+	if first == nil {
+		exact, sat, err := SolveExact(ctx, p)
+		switch {
+		case err != nil && !errors.Is(err, ErrSearchLimit):
+			return nil, err // context cancellation
+		case !sat:
+			return sol, nil // certified UNSAT, or the search gave up
+		}
+		first = exact
 	}
-	return sol, nil // certified UNSAT, or the search gave up
+	return &Solution{Assign: first, Feasible: true, Flips: sol.Flips, Restarts: sol.Restarts}, nil
 }
 
 // searchExact is the complete rung: a failure is a proof, and a search

@@ -22,9 +22,10 @@ const exactMaxNodes = 2_000_000
 // feasible one the search reaches, not one of least soft penalty:
 // SolveExact sets no bound on the soft penalty, so soft constraints
 // never prune its search (SolveWSATContext runs the same search with a
-// bound to end its restarts early). Cancellation is polled every few thousand
-// search nodes and surfaces as ctx.Err(); an uncancelled run explores
-// exactly the same node sequence regardless of deadline.
+// bound to end its restarts early, and each segmentation rung runs it
+// as a branch and bound first). Cancellation is polled every few
+// thousand search nodes and surfaces as ctx.Err(); an uncancelled run
+// explores exactly the same node sequence regardless of deadline.
 func SolveExact(ctx context.Context, p *Problem) ([]bool, bool, error) {
 	return solveExactBelow(ctx, p, exactMaxNodes, noBound)
 }
@@ -37,41 +38,28 @@ func SolveExact(ctx context.Context, p *Problem) ([]bool, bool, error) {
 // (nil, false, nil) when no such assignment exists, and ErrSearchLimit
 // or ctx.Err() when the search stopped early.
 func solveExactBelow(ctx context.Context, p *Problem, maxNodes, bound int) ([]bool, bool, error) {
-	s := &exactSearch{p: p, maxNodes: maxNodes, bound: bound, ctx: ctx}
-	s.value = make([]int8, p.NumVars())
-	for i := range s.value {
-		s.value[i] = unset
+	s := newExactSearch(ctx, p, maxNodes, bound, false)
+	s.dfs()
+	if err := s.err(); err != nil {
+		return nil, false, err
 	}
-	// Split hard from soft constraints and index the hard ones by
-	// variable (branching picks the most constrained variable).
-	for ci := range p.Constraints {
-		if p.Constraints[ci].Hard() {
-			s.hard = append(s.hard, ci)
-		} else {
-			s.soft = append(s.soft, ci)
-		}
-	}
-	s.occ = make([][]int, p.NumVars())
-	for _, ci := range s.hard {
-		for _, t := range p.Constraints[ci].Terms {
-			s.occ[t.Var] = append(s.occ[t.Var], ci)
-		}
-	}
-	ok := s.dfs()
-	if s.cancelled != nil {
-		return nil, false, s.cancelled
-	}
-	if s.limited {
-		return nil, false, ErrSearchLimit
-	}
-	if !ok {
-		return nil, false, nil
-	}
-	out := make([]bool, p.NumVars())
-	for i, v := range s.value {
-		out[i] = v == 1
-	}
-	return out, true, nil
+	return s.first, s.first != nil, nil
+}
+
+// exactOptimum runs one branch and bound of at most maxNodes nodes
+// over p. Up to its first hard-feasible assignment it is SolveExact's
+// search, node for node, and it returns that assignment as first; from
+// there it only looks for assignments whose soft penalty is below the
+// least found so far. A nil error means the search covered the space:
+// first is then nil when the hard constraints are unsatisfiable, and
+// otherwise opt is the least soft penalty of any hard-feasible
+// assignment. When the budget runs out it returns ErrSearchLimit, with
+// first set if the search reached one before; a cancelled search
+// returns ctx.Err().
+func exactOptimum(ctx context.Context, p *Problem, maxNodes int) (first []bool, opt int, err error) {
+	s := newExactSearch(ctx, p, maxNodes, noBound, true)
+	s.dfs()
+	return s.first, s.bound, s.err()
 }
 
 // noBound is the soft-penalty bound that never prunes.
@@ -80,17 +68,73 @@ const noBound = math.MaxInt
 const unset int8 = 2
 
 type exactSearch struct {
-	p         *Problem
-	hard      []int
-	soft      []int
-	occ       [][]int
-	value     []int8
-	bound     int // exclusive upper bound on the soft penalty
+	p      *Problem
+	hard   []int
+	soft   []int
+	degree []int // per variable, its terms in hard constraints
+	value  []int8
+	// trail lists the variables propagation fixed, in order; each
+	// node undoes its own suffix of it on the way back.
+	trail []int
+	bound int // exclusive upper bound on the soft penalty
+	// optimize lowers bound to each hard-feasible assignment's soft
+	// penalty and searches on, instead of stopping at the first.
+	optimize  bool
+	first     []bool // the first hard-feasible assignment reached
 	nodes     int
 	maxNodes  int
 	limited   bool
 	ctx       context.Context
 	cancelled error
+}
+
+func newExactSearch(ctx context.Context, p *Problem, maxNodes, bound int, optimize bool) *exactSearch {
+	n := p.NumVars()
+	s := &exactSearch{
+		p:        p,
+		degree:   make([]int, n),
+		value:    make([]int8, n),
+		trail:    make([]int, 0, n),
+		bound:    bound,
+		optimize: optimize,
+		maxNodes: maxNodes,
+		ctx:      ctx,
+	}
+	for i := range s.value {
+		s.value[i] = unset
+	}
+	// Split hard from soft constraints, in one backing array, and count
+	// each variable's hard terms (branching picks the most constrained
+	// variable).
+	order := make([]int, 0, len(p.Constraints))
+	for ci := range p.Constraints {
+		if c := &p.Constraints[ci]; c.Hard() {
+			order = append(order, ci)
+			for _, t := range c.Terms {
+				s.degree[t.Var]++
+			}
+		}
+	}
+	s.hard = order
+	for ci := range p.Constraints {
+		if !p.Constraints[ci].Hard() {
+			order = append(order, ci)
+		}
+	}
+	s.soft = order[len(s.hard):]
+	return s
+}
+
+// err is the reason the search stopped short of covering the space,
+// or nil when it did not.
+func (s *exactSearch) err() error {
+	switch {
+	case s.cancelled != nil:
+		return s.cancelled
+	case s.limited:
+		return ErrSearchLimit
+	}
+	return nil
 }
 
 // feasibleBounds checks every hard constraint against the interval of
@@ -160,9 +204,9 @@ func (s *exactSearch) softLowerBound() int {
 
 // propagate fixes forced variables: if setting a variable to one value
 // makes some hard constraint infeasible by bounds, the other value is
-// forced. Returns the list of fixed vars (for undo) and whether a
-// contradiction was reached.
-func (s *exactSearch) propagate(trail *[]int) bool {
+// forced. Fixed variables go on the trail (for undo); it returns false
+// when a contradiction was reached.
+func (s *exactSearch) propagate() bool {
 	changed := true
 	for changed {
 		changed = false
@@ -191,7 +235,7 @@ func (s *exactSearch) propagate(trail *[]int) bool {
 				}
 				if forced != unset {
 					s.value[t.Var] = forced
-					*trail = append(*trail, t.Var)
+					s.trail = append(s.trail, t.Var)
 					changed = true
 				}
 			}
@@ -208,39 +252,41 @@ func (s *exactSearch) pickVar() int {
 		if s.value[v] != unset {
 			continue
 		}
-		if len(s.occ[v]) > bestOcc {
-			best, bestOcc = v, len(s.occ[v])
+		if s.degree[v] > bestOcc {
+			best, bestOcc = v, s.degree[v]
 		}
 	}
 	return best
 }
 
+// dfs searches below the current partial assignment and reports
+// whether the search is over: a leaf ended it (see leaf), or the node
+// budget ran out or the context was cancelled (see err).
 func (s *exactSearch) dfs() bool {
 	s.nodes++
 	if s.nodes > s.maxNodes {
 		s.limited = true
-		return false
+		return true
 	}
 	if s.nodes&0xfff == 0 {
 		if err := s.ctx.Err(); err != nil {
 			s.cancelled = err
-			s.limited = true // reuse the abort plumbing of the node budget
-			return false
+			return true
 		}
 	}
-	var trail []int
-	if !s.propagate(&trail) || s.softLowerBound() >= s.bound {
-		s.undo(trail)
+	mark := len(s.trail)
+	if !s.propagate() || s.bound != noBound && s.softLowerBound() >= s.bound {
+		s.undo(mark)
 		return false
 	}
 	v := s.pickVar()
 	if v < 0 {
 		// Fully assigned; bounds feasibility on full assignment is
 		// exact satisfaction.
-		if s.feasibleBounds() {
+		if s.feasibleBounds() && s.leaf() {
 			return true
 		}
-		s.undo(trail)
+		s.undo(mark)
 		return false
 	}
 	for _, val := range [2]int8{1, 0} {
@@ -248,19 +294,35 @@ func (s *exactSearch) dfs() bool {
 		if s.feasibleBounds() && s.dfs() {
 			return true
 		}
-		if s.limited {
-			s.value[v] = unset
-			s.undo(trail)
-			return false
-		}
 	}
 	s.value[v] = unset
-	s.undo(trail)
+	s.undo(mark)
 	return false
 }
 
-func (s *exactSearch) undo(trail []int) {
-	for _, v := range trail {
+// leaf takes the full hard-feasible assignment in value, whose soft
+// penalty is below bound, and reports whether the search is over: at
+// the first leaf, unless the search optimizes; then once the penalty
+// reaches 0, below which nothing lies.
+func (s *exactSearch) leaf() bool {
+	if s.first == nil {
+		s.first = make([]bool, len(s.value))
+		for i, v := range s.value {
+			s.first[i] = v == 1
+		}
+	}
+	if !s.optimize {
+		return true
+	}
+	s.bound = s.softLowerBound() // exact on a full assignment
+	return s.bound == 0
+}
+
+// undo unsets the variables propagation fixed since the trail held
+// mark entries.
+func (s *exactSearch) undo(mark int) {
+	for _, v := range s.trail[mark:] {
 		s.value[v] = unset
 	}
+	s.trail = s.trail[:mark]
 }

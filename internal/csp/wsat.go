@@ -51,8 +51,13 @@ type Solution struct {
 	// is only a witness of failure: after an early stop on a proof
 	// (see SolveWSATContext) it is the best of the first restart, not
 	// the lowest-scoring assignment a full run would have reached, so
-	// callers should read nothing but Feasible from it. A stop on a
-	// proven floor (see runWSAT) returns what a full run returns.
+	// callers should read nothing but Feasible from it; on a
+	// segmentation rung whose hard constraints the exact search proved
+	// unsatisfiable before any local search (see searchWSAT) it is nil.
+	// A stop on a proven floor (see runWSAT) returns what a full run
+	// returns. When the exact search stands in for a WSAT search that
+	// found nothing, Assign is its first hard-feasible assignment, with
+	// SoftPenalty and Restart left 0.
 	Assign []bool
 	// Feasible is true when Assign satisfies every hard constraint.
 	Feasible bool
@@ -75,10 +80,12 @@ func (s *Solution) score(hardWeight int) int {
 	return s.HardViolation*hardWeight + s.SoftPenalty
 }
 
-// certNodes is the node budget of the exact search that may end
-// SolveWSATContext's restarts early. Proofs on the segmentation and
-// column encodings mostly need a few hundred nodes; the budget caps
-// the rare instance whose proof would take millions.
+// certNodes is the node budget of the exact searches that let local
+// search stop early: the one that may end SolveWSATContext's restarts
+// after the first, and the branch and bound that settles each
+// segmentation rung before WSAT runs (see searchWSAT). Proofs on the
+// segmentation and column encodings mostly need a few hundred nodes;
+// the budget caps the rare instance whose proof would take millions.
 const certNodes = 1000
 
 // SolveWSATContext runs a WSAT(OIP)-style local search: repeatedly
@@ -183,15 +190,19 @@ func cannotImprove(ctx context.Context, p *Problem, best *Solution, hardWeight, 
 // current assignment, per-constraint LHS values, violation totals, and
 // the variable→constraint incidence index.
 type searchState struct {
-	p       *Problem
-	params  WSATParams
-	assign  []bool
-	lhs     []int
-	viol    []int // violation per constraint
-	occ     [][]occurrence
-	violSet []int // indices of currently violated constraints (lazy, compacted on pick)
-	inSet   []bool
-	tabu    []int // last flip time per var
+	p      *Problem
+	params WSATParams
+	assign []bool
+	lhs    []int
+	viol   []int // violation per constraint
+	// occ lists every variable's occurrences, variable by variable:
+	// those of v are occ[occStart[v]:occStart[v+1]], in constraint
+	// order.
+	occ      []occurrence
+	occStart []int
+	violSet  []int // indices of currently violated constraints (lazy, compacted on pick)
+	inSet    []bool
+	tabu     []int // last flip time per var
 
 	hardViolation int
 	softPenalty   int
@@ -204,30 +215,57 @@ type occurrence struct {
 }
 
 func newSearchState(p *Problem, params WSATParams) *searchState {
+	n := p.NumVars()
 	st := &searchState{
-		p:       p,
-		params:  params,
-		assign:  make([]bool, p.NumVars()),
-		lhs:     make([]int, len(p.Constraints)),
-		viol:    make([]int, len(p.Constraints)),
-		occ:     make([][]occurrence, p.NumVars()),
-		violSet: make([]int, 0, len(p.Constraints)),
-		inSet:   make([]bool, len(p.Constraints)),
-		tabu:    make([]int, p.NumVars()),
+		p:        p,
+		params:   params,
+		assign:   make([]bool, n),
+		lhs:      make([]int, len(p.Constraints)),
+		viol:     make([]int, len(p.Constraints)),
+		occStart: make([]int, n+1),
+		violSet:  make([]int, 0, len(p.Constraints)),
+		inSet:    make([]bool, len(p.Constraints)),
+		tabu:     make([]int, n),
 	}
+	// Count each variable's constraints, a variable repeated within one
+	// constraint once, then place the occurrences. tabu serves as
+	// scratch: randomize resets it before the search reads it.
+	last := st.tabu // per variable, the last constraint counted
+	for v := range last {
+		last[v] = -1
+	}
+	for ci := range p.Constraints {
+		for _, t := range p.Constraints[ci].Terms {
+			if last[t.Var] != ci {
+				last[t.Var] = ci
+				st.occStart[t.Var+1]++
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		st.occStart[v+1] += st.occStart[v]
+	}
+	st.occ = make([]occurrence, st.occStart[n])
+	next := st.tabu // per variable, the next free slot of its list
+	copy(next, st.occStart[:n])
 	for ci := range p.Constraints {
 		for _, t := range p.Constraints[ci].Terms {
 			// Constraints are visited in order, so a variable already
 			// seen in ci is the last entry of its list.
-			o := st.occ[t.Var]
-			if n := len(o); n > 0 && o[n-1].ci == ci {
-				o[n-1].coef += t.Coef
+			if k := next[t.Var] - 1; k >= st.occStart[t.Var] && st.occ[k].ci == ci {
+				st.occ[k].coef += t.Coef
 				continue
 			}
-			st.occ[t.Var] = append(o, occurrence{ci: ci, coef: t.Coef})
+			st.occ[next[t.Var]] = occurrence{ci: ci, coef: t.Coef}
+			next[t.Var]++
 		}
 	}
 	return st
+}
+
+// occurrences returns the constraints variable v appears in.
+func (st *searchState) occurrences(v int) []occurrence {
+	return st.occ[st.occStart[v]:st.occStart[v+1]]
 }
 
 // score is the objective used for best-solution tracking. (Move
@@ -340,7 +378,7 @@ func (st *searchState) flipDelta(v int) int {
 	if st.assign[v] {
 		dir = -1
 	}
-	for _, o := range st.occ[v] {
+	for _, o := range st.occurrences(v) {
 		c := &st.p.Constraints[o.ci]
 		d := c.violationOf(st.lhs[o.ci]+dir*o.coef) - st.viol[o.ci]
 		if c.Hard() {
@@ -360,7 +398,7 @@ func (st *searchState) flip(v, now int) {
 	}
 	st.assign[v] = !st.assign[v]
 	st.tabu[v] = now
-	for _, o := range st.occ[v] {
+	for _, o := range st.occurrences(v) {
 		ci := o.ci
 		c := &st.p.Constraints[ci]
 		st.lhs[ci] += dir * o.coef

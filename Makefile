@@ -122,7 +122,8 @@ cover:
 # against their reference implementations), the extraction front end,
 # the artifact codec (decode of arbitrary bytes must error, never
 # panic; decodable artifacts must round-trip), the probabilistic
-# solver (any valid instance must segment or error, never panic),
+# solver (any valid instance must segment or error, never panic, and
+# equal bit for bit the segmentation of the unpruned reference pass),
 # every solver of internal/solvers (any small problem must segment,
 # with no consecutiveness hole unless the solver is exhausted), the
 # §6.3 column solve (stopped at the optimum its dynamic program

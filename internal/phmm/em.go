@@ -21,6 +21,13 @@ type emStats struct {
 // next estep on it overwrites them.
 func (m *Model) estep(lt *lattice) (*emStats, float64) {
 	ll := lt.forwardBackward()
+	return m.posteriorStats(lt), ll
+}
+
+// posteriorStats completes the statistics of the forward–backward pass
+// last run on lt: to its xiCont and endC it adds typeTrue and colMass,
+// summed from the posteriors.
+func (m *Model) posteriorStats(lt *lattice) *emStats {
 	st := &lt.emStats
 	clear(st.colMass)
 	for _, row := range st.typeTrue {
@@ -43,7 +50,7 @@ func (m *Model) estep(lt *lattice) (*emStats, float64) {
 			}
 		}
 	}
-	return st, ll
+	return st
 }
 
 // mstep re-estimates the parameters from the statistics (§5.2.3 steps

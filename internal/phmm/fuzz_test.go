@@ -10,9 +10,10 @@ import (
 
 // FuzzSegment: any valid instance of up to 6 records and 120 extracts
 // yields a segmentation or errNoPath, never a panic, and a segmentation
-// is a structurally valid path whose confidences lie in [0,1]. Each
-// extract takes two bytes of data: the bits of its type vector and the
-// bits of its candidate records.
+// is a structurally valid path whose confidences lie in [0,1]. It
+// equals segmentReference's bit for bit, or both return errNoPath.
+// Each extract takes two bytes of data: the bits of its type vector
+// and the bits of its candidate records.
 func FuzzSegment(f *testing.F) {
 	name := byte(token.TypeOf("John") | token.TypeOf("Smith"))
 	// One column under the Figure 2 hazard: 3 records of 3 extracts.
@@ -40,6 +41,10 @@ func FuzzSegment(f *testing.F) {
 		p.PeriodModel = period
 		p.MaxColumns = int(cols) % 5
 		res, err := segment(inst, p)
+		want, werr := segmentReference(inst, p)
+		if diff := sameSegmentation(res, err, want, werr); diff != "" {
+			t.Fatal(diff)
+		}
 		if err != nil {
 			if !errors.Is(err, errNoPath) {
 				t.Fatalf("valid instance rejected: %v", err)

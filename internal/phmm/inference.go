@@ -14,6 +14,24 @@ import (
 // position reachable at negligible probability.
 const stallWeight = 1e-6
 
+// pruneFloor is the scaled mass below which forwardBackward's first
+// attempt zeroes a forward or backward cell. Mass that the evidence
+// has left behind, or not yet reached, shrinks by ε and a stall or
+// column advance at every position and falls through the subnormal
+// doubles on its way to 0; on x86 every multiplication with a
+// subnormal operand or result costs tens of normal ones. 2^-500 is the
+// largest power of two whose square is still a normal double, so the
+// product α·β of two kept cells is never subnormal.
+const pruneFloor = 0x1p-500
+
+// certSpan is the pruned attempt's certificate: every posterior and
+// transition normalizer is at least 1/certSpan, and every state whose
+// forward cell is zero has β at most certSpan times its position's
+// posterior normalizer. A zeroed cell then carries less than
+// pruneFloor·certSpan = 2^-100 of any normalizer it enters, 47 binary
+// orders below the last bit of a double.
+const certSpan = 0x1p400
+
 // errNoPath reports a decode in which every (R, C) path scores −Inf:
 // the model gives the whole instance zero probability.
 var errNoPath = errors.New("phmm: no segmentation path has nonzero probability")
@@ -21,8 +39,9 @@ var errNoPath = errors.New("phmm: no segmentation path has nonzero probability")
 // lattice is the workspace of one instance under one model. newLattice
 // allocates every table and buffer of forwardBackward and the E-step
 // once; refresh and the passes then overwrite them in place, so an EM
-// iteration allocates nothing. viterbi allocates its own score tables,
-// once per decode.
+// iteration allocates nothing, the rerun of a pass whose pruned
+// attempt failed its certificate included. viterbi allocates its own
+// score tables, once per decode.
 type lattice struct {
 	m    *Model
 	inst Instance
@@ -44,7 +63,9 @@ type lattice struct {
 
 	// The forward and backward messages and the posteriors
 	// gamma[i][r*C+c] = P(R_i=r, C_i=c | observations), as rows of
-	// width K·C; forwardBackward overwrites them.
+	// width K·C; forwardBackward overwrites them. After a certified
+	// pruned attempt, alpha and beta hold 0 in every cell that fell
+	// below pruneFloor, and gamma 0 where either did.
 	alpha, beta, gamma [][]float64
 	// Per-pass scratch of forwardBackward: the per-position scaling,
 	// the hazard h(c), the record-end (E), new-record (M) and suffix
@@ -155,8 +176,31 @@ func (lt *lattice) startWeight(r int) float64 {
 // the previous pass's; it allocates nothing. The record-skip
 // transitions are aggregated with prefix/suffix recurrences so the pass
 // costs O(n·K·C²) rather than O(n·(K·C)²).
+//
+// The first attempt zeroes every scaled cell below pruneFloor, which
+// spares the subnormal arithmetic of decayed mass, and is kept when
+// its certificate (certSpan) holds. Otherwise the passes run again
+// unpruned, operand for operand the arithmetic of a pass that never
+// prunes. The certificate bounds what pruning drops far below the last
+// bit of every output; TestPrunedPassMatchesReference and
+// TestPHMMSegmentationsDigest check that no bit moves.
 func (lt *lattice) forwardBackward() (loglik float64) {
+	if ll, ok := lt.passes(pruneFloor); ok {
+		return ll
+	}
+	ll, _ := lt.passes(0)
+	return ll
+}
+
+// passes runs forwardBackward's passes with every scaled forward and
+// backward cell below floor zeroed. With floor > 0 it checks the
+// certificate in the posterior and transition loops and returns false
+// at its first failure, a NaN or a row left with no mass included;
+// with floor 0 it zeroes nothing, checks nothing and returns true.
+// Every kept cell keeps its operands and their order.
+func (lt *lattice) passes(floor float64) (loglik float64, certified bool) {
 	m, n, K, C := lt.m, lt.n, lt.m.K, lt.m.C
+	certify := floor > 0
 	S := K * C
 	skip := m.params.SkipPenalty
 	alpha, beta, emis, scale, haz := lt.alpha, lt.beta, lt.emis, lt.scale, lt.haz
@@ -217,6 +261,9 @@ func (lt *lattice) forwardBackward() (loglik float64) {
 			s += v
 		}
 		if s <= 0 || math.IsNaN(s) {
+			if certify {
+				return 0, false
+			}
 			// Degenerate row: no mass, or NaN from overflowed
 			// messages. Inject uniform mass so the pass runs to its
 			// end; the row's log(1e-300) marks the loglik as
@@ -231,6 +278,9 @@ func (lt *lattice) forwardBackward() (loglik float64) {
 		inv := 1.0 / s
 		for k := range cur {
 			cur[k] *= inv
+			if cur[k] < floor {
+				cur[k] = 0
+			}
 		}
 	}
 
@@ -265,7 +315,10 @@ func (lt *lattice) forwardBackward() (loglik float64) {
 					cont += tr * e[c2] * b[c2]
 				}
 				v += (1 - haz[c]) * pen * cont
-				cur[r*C+c] = v * inv
+				if v *= inv; v < floor {
+					v = 0
+				}
+				cur[r*C+c] = v
 			}
 		}
 	}
@@ -277,6 +330,17 @@ func (lt *lattice) forwardBackward() (loglik float64) {
 		for k := range g {
 			g[k] = a[k] * b[k]
 			z += g[k]
+		}
+		if certify {
+			if !(z >= 1/certSpan) {
+				return 0, false
+			}
+			bound := z * certSpan
+			for k, p := range a {
+				if zeroProb(p) && !(b[k] <= bound) {
+					return 0, false
+				}
+			}
 		}
 		if z > 0 {
 			inv := 1.0 / z
@@ -336,6 +400,9 @@ func (lt *lattice) forwardBackward() (loglik float64) {
 				}
 			}
 		}
+		if certify && !(z >= 1/certSpan) {
+			return 0, false
+		}
 		if z <= 0 {
 			continue
 		}
@@ -353,7 +420,7 @@ func (lt *lattice) forwardBackward() (loglik float64) {
 			endC[c] += lt.gamma[n-1][r*C+c]
 		}
 	}
-	return loglik
+	return loglik, true
 }
 
 // viterbi computes the MAP (R, C) assignment (arg max P(R,C|T,D)) over

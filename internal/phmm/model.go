@@ -38,9 +38,11 @@ type Params struct {
 	// found on a detail page").
 	MaxColumns int
 	// Epsilon is the soft-evidence weight for assigning an extract to
-	// a record outside its D_i. Zero reproduces the CSP's hard
-	// semantics (and its brittleness); the small default tolerates the
-	// data inconsistencies of §6.3. Default 1e-3.
+	// a record outside its D_i; the small default tolerates the data
+	// inconsistencies of §6.3. Zero, or any value ≤ 0, selects the
+	// default 1e-3, and values above 1 are clamped to 1. Near-hard
+	// evidence, close to the CSP's semantics (and its brittleness), is
+	// a tiny positive value such as the ablation's 1e-12.
 	Epsilon float64
 	// SkipPenalty is the geometric penalty for records with no
 	// analyzed extracts (record numbers may skip). Default 0.05.

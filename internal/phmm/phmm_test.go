@@ -464,6 +464,10 @@ func TestParamsClamping(t *testing.T) {
 	if big.Epsilon != 1 {
 		t.Errorf("epsilon > 1 not clamped: %f", big.Epsilon)
 	}
+	// Zero selects the soft default, not hard evidence.
+	if zero := (Params{Epsilon: 0}).withDefaults(); zero.Epsilon != 1e-3 {
+		t.Errorf("epsilon 0 became %g, want the default 1e-3", zero.Epsilon)
+	}
 	// Degenerate params must not crash inference.
 	res, err := segment(superpagesInstance(), Params{Epsilon: -1, SkipPenalty: 99})
 	if err != nil || len(res.Records) != 11 {

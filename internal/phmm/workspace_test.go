@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"tableseg/internal/token"
@@ -59,35 +58,7 @@ func randomInstance(rng *rand.Rand) (Instance, Params) {
 // with a new lattice for every EM iteration, for the decode and for the
 // confidence pass, so every buffer starts zeroed.
 func segmentFresh(inst Instance, params Params) (*Result, error) {
-	params = params.withDefaults()
-	cols := params.MaxColumns
-	if cols == 0 {
-		cols = deriveColumns(inst)
-	}
-	m := NewModel(inst.NumRecords, cols, params)
-	res := &Result{Model: m}
-	prev := math.Inf(-1)
-	for res.Iters = 1; res.Iters <= params.MaxIter; res.Iters++ {
-		st, ll := m.estep(newLattice(m, inst))
-		m.mstep(st)
-		res.LogLik = ll
-		if !math.IsInf(prev, -1) && math.Abs(ll-prev)/math.Max(math.Abs(prev), 1) < params.Tol {
-			break
-		}
-		prev = ll
-	}
-	res.Iters = min(res.Iters, params.MaxIter)
-	var err error
-	res.Records, res.Columns, res.MAPLogProb, err = newLattice(m, inst).viterbi()
-	if err != nil {
-		return nil, err
-	}
-	lt := newLattice(m, inst)
-	lt.forwardBackward()
-	for i, r := range res.Records {
-		res.Confidence = append(res.Confidence, lt.gamma[i][r*m.C+res.Columns[i]])
-	}
-	return res, nil
+	return segmentWith(inst, params, true, (*lattice).forwardBackward)
 }
 
 // sameBits reports whether a and b hold bit-identical floats.
@@ -113,29 +84,8 @@ func TestReusedLatticeMatchesFreshLattices(t *testing.T) {
 		p.MaxIter = 8 // a dirty buffer shows from the second iteration on
 		got, err := segment(inst, p)
 		want, werr := segmentFresh(inst, p)
-		if errors.Is(err, errNoPath) && errors.Is(werr, errNoPath) {
-			continue
-		}
-		if err != nil || werr != nil {
-			t.Fatalf("trial %d: errors %v, reference %v", trial, err, werr)
-		}
-		if got.Iters != want.Iters ||
-			!sameBits([]float64{got.LogLik, got.MAPLogProb}, []float64{want.LogLik, want.MAPLogProb}) {
-			t.Fatalf("trial %d: iters %d loglik %v map %v, reference %d %v %v", trial,
-				got.Iters, got.LogLik, got.MAPLogProb, want.Iters, want.LogLik, want.MAPLogProb)
-		}
-		if !slices.Equal(got.Records, want.Records) || !slices.Equal(got.Columns, want.Columns) ||
-			!sameBits(got.Confidence, want.Confidence) {
-			t.Fatalf("trial %d: decode differs from the reference", trial)
-		}
-		gm, wm := got.Model, want.Model
-		for c := 0; c < gm.C; c++ {
-			if !sameBits(gm.Theta[c], wm.Theta[c]) || !sameBits(gm.Trans[c], wm.Trans[c]) {
-				t.Fatalf("trial %d: column %d parameters differ from the reference", trial, c)
-			}
-		}
-		if !sameBits(gm.Pi, wm.Pi) {
-			t.Fatalf("trial %d: Pi %v, reference %v", trial, gm.Pi, wm.Pi)
+		if diff := sameSegmentation(got, err, want, werr); diff != "" {
+			t.Fatalf("trial %d: %s", trial, diff)
 		}
 	}
 }
